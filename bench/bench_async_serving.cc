@@ -84,12 +84,12 @@ SchedulerFactory Fcfs() {
 }
 
 MultiInstanceRunner MakeRunner(int32_t max_batch_size = INT32_MAX) {
-  DispatchConfig dispatch;
-  dispatch.n_instances = kInstances;
-  dispatch.policy = DispatchPolicy::kRoundRobin;
+  RouterConfig router;
+  router.n_instances = kInstances;
+  router.policy = RoutePolicy::kRoundRobin;
   ServingLoopConfig loop;
   loop.max_batch_size = max_batch_size;
-  return MultiInstanceRunner(dispatch, loop);
+  return MultiInstanceRunner(Router(router), loop);
 }
 
 TokenMap Flatten(std::vector<TokenMap> sinks) {

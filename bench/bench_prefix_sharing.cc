@@ -1,10 +1,10 @@
 // Prefix-sharing sweep: hit-rate (conversation fan-out) x prefix-length
 // grid over the shared-prefix workload, run with sharing off and on, on
 // BOTH execution backends:
-//   - the analytic CostModelBackend (Simulator, Opt-13B roofline), where
-//     skipped prefill positions are priced out of the iteration, and
-//   - the real InferenceBackend (ServingEngine, Tiny model, measured wall
-//     clock), where they are genuinely not computed.
+//   - the analytic CostModelBackend (Opt-13B roofline), where skipped
+//     prefill positions are priced out of the iteration, and
+//   - the real InferenceBackend (Tiny model, measured wall clock), where
+//     they are genuinely not computed.
 // Reported per cell: prefill tokens computed/skipped (the reduction
 // factor), mean TTFT, request throughput, hits, and blocks saved through
 // sharing. The same trace drives both backends, and the final parity table
@@ -16,7 +16,7 @@
 
 #include "baselines/fcfs_scheduler.h"
 #include "bench/bench_util.h"
-#include "engine/serving_engine.h"
+#include "serve/inference_backend.h"
 #include "workload/shared_prefix.h"
 
 namespace aptserve {
@@ -51,18 +51,13 @@ std::vector<Request> MakeTrace(int32_t prefix_len, int32_t fan_out) {
   return *trace;
 }
 
-CellResult RunCostModel(const std::vector<Request>& trace, bool sharing) {
-  const ModelSpec m = ModelSpec::Opt13B();
-  CostModel cm(m, ClusterSpec::ForModel(m));
-  SimulatorConfig cfg;
-  cfg.block_size = kBlockSize;
-  cfg.pool_blocks_override = kPoolBlocks;
-  cfg.enable_prefix_sharing = sharing;
-  Simulator sim(cm, cfg);
+/// Serves `trace` under FCFS on `backend` and summarizes the cell.
+CellResult Serve(ExecutionBackend* backend, const std::vector<Request>& trace) {
   FcfsScheduler sched;
-  auto r = sim.Run(trace, &sched, SloSpec{10.0, 10.0});
+  auto r = ServingLoop(backend, {}).Run(trace, &sched, SloSpec{10.0, 10.0});
   if (!r.ok()) {
-    std::fprintf(stderr, "sim: %s\n", r.status().ToString().c_str());
+    std::fprintf(stderr, "%s: %s\n", backend->name().c_str(),
+                 r.status().ToString().c_str());
     std::abort();
   }
   CellResult out;
@@ -76,30 +71,24 @@ CellResult RunCostModel(const std::vector<Request>& trace, bool sharing) {
   return out;
 }
 
+CellResult RunCostModel(const std::vector<Request>& trace, bool sharing) {
+  const ModelSpec m = ModelSpec::Opt13B();
+  CostModel cm(m, ClusterSpec::ForModel(m));
+  CostModelBackend::Options opts;
+  opts.block_size = kBlockSize;
+  opts.pool_blocks_override = kPoolBlocks;
+  opts.enable_prefix_sharing = sharing;
+  auto backend = CostModelBackend::Create(cm, opts);
+  if (!backend.ok()) std::abort();
+  return Serve(backend->get(), trace);
+}
+
 CellResult RunEngine(const std::vector<Request>& trace, bool sharing) {
-  ServingEngineConfig cfg;
-  cfg.model = ModelConfig::Tiny();
-  cfg.num_blocks = kPoolBlocks;
-  cfg.block_size = kBlockSize;
-  cfg.slo = SloSpec{10.0, 10.0};
-  cfg.calibrate_rho = false;
-  cfg.enable_prefix_sharing = sharing;
-  ServingEngine serving(cfg);
-  FcfsScheduler sched;
-  auto r = serving.Serve(trace, &sched);
-  if (!r.ok()) {
-    std::fprintf(stderr, "engine: %s\n", r.status().ToString().c_str());
-    std::abort();
-  }
-  CellResult out;
-  out.mean_ttft = r->report.mean_ttft;
-  out.throughput = r->report.total_serving_time > 0
-                       ? trace.size() / r->report.total_serving_time
-                       : 0.0;
-  out.computed = r->prefill_tokens_computed;
-  out.skipped = r->prefill_tokens_skipped;
-  out.prefix = r->prefix;
-  return out;
+  InferenceBackendOptions opts;
+  opts.enable_prefix_sharing = sharing;
+  InferenceBackend backend(ModelConfig::Tiny(), /*weight_seed=*/42,
+                           kPoolBlocks, kBlockSize, SamplingParams{}, opts);
+  return Serve(&backend, trace);
 }
 
 void Record(const std::string& backend, int32_t prefix_len, int32_t fan_out,

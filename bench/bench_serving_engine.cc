@@ -7,7 +7,9 @@
 #include "baselines/fcfs_scheduler.h"
 #include "bench/bench_util.h"
 #include "core/apt_scheduler.h"
-#include "engine/serving_engine.h"
+#include "engine/rho_calibrator.h"
+#include "serve/inference_backend.h"
+#include "serve/serving_loop.h"
 #include "workload/arrival.h"
 
 using namespace aptserve;
@@ -31,12 +33,19 @@ std::vector<Request> BurstTrace(int32_t n, uint64_t seed) {
 }  // namespace
 
 int main() {
-  ServingEngineConfig cfg;
-  cfg.model = ModelConfig::Small();
-  cfg.model.max_seq_len = 256;
-  cfg.num_blocks = 160;  // tight pool: ~10 KV requests of ~64 tokens
-  cfg.block_size = 8;
-  cfg.slo = SloSpec{1e9, 1e9};  // timing varies by host; report latencies
+  ModelConfig model = ModelConfig::Small();
+  model.max_seq_len = 256;
+  const SloSpec slo{1e9, 1e9};  // timing varies by host; report latencies
+
+  // The paper's offline profiling pass (Eq. 6) on this engine; the rho it
+  // measures reaches the scheduler through the backend's cost model.
+  auto calib = CalibrateRho(model, /*seed=*/42, {16, 48}, /*reps=*/2);
+  if (!calib.ok()) {
+    std::fprintf(stderr, "rho: %s\n", calib.status().ToString().c_str());
+    return 1;
+  }
+  InferenceBackendOptions options;
+  options.rho_seconds_per_token = calib->rho_seconds_per_token;
 
   auto trace = BurstTrace(24, 17);
   std::printf("=== Real-engine serving: 24-request burst on the mini "
@@ -45,14 +54,16 @@ int main() {
               "compute(s)", "mean TTFT(s)", "p99 TTFT(s)", "preempts",
               "conversions");
   for (int k = 0; k < 2; ++k) {
-    ServingEngine serving(cfg);
+    // Tight pool: 160 blocks of 8 hold ~10 KV requests of ~64 tokens.
+    InferenceBackend backend(model, /*weight_seed=*/42, /*num_blocks=*/160,
+                             /*block_size=*/8, SamplingParams{}, options);
     FcfsScheduler fcfs;
     AptConfig ac;
     ac.slo = SloSpec{2.0, 2.0};  // drives the value model, not the report
     AptScheduler apt(ac);
     Scheduler* sched = k == 0 ? static_cast<Scheduler*>(&fcfs)
                               : static_cast<Scheduler*>(&apt);
-    auto result = serving.Serve(trace, sched);
+    auto result = ServingLoop(&backend, {}).Run(trace, sched, slo);
     if (!result.ok()) {
       std::fprintf(stderr, "%s: %s\n", sched->name().c_str(),
                    result.status().ToString().c_str());
@@ -61,7 +72,7 @@ int main() {
     std::printf("%-12s %14.2f %14.2f %14.2f %12ld %12ld\n",
                 sched->name().c_str(), result->compute_seconds,
                 result->report.mean_ttft, result->report.p99_ttft,
-                result->preemptions, result->report.conversions);
+                result->report.preemptions, result->report.conversions);
     bench::JsonObject e;
     e.Str("scheduler", sched->name())
         .Int("num_requests", static_cast<int64_t>(trace.size()))
@@ -73,14 +84,14 @@ int main() {
                  ? result->tokens_generated / result->compute_seconds
                  : 0.0)
         .Int("tokens_generated", result->tokens_generated)
-        .Int("preemptions", result->preemptions)
+        .Int("preemptions", result->report.preemptions)
         .Int("conversions", result->report.conversions)
-        .Num("rho_seconds_per_token", result->rho_seconds_per_token);
+        .Num("rho_seconds_per_token", options.rho_seconds_per_token);
     bench::BenchJson::Instance().AddEntry(std::move(e));
     if (k == 1) {
       std::printf("measured rho = %.1f us/token (real Eq. 6 calibration "
                   "fed to the scheduler)\n",
-                  1e6 * result->rho_seconds_per_token);
+                  1e6 * options.rho_seconds_per_token);
     }
     std::fflush(stdout);
   }

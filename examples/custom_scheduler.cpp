@@ -12,7 +12,8 @@
 
 #include "baselines/fcfs_scheduler.h"
 #include "core/apt_scheduler.h"
-#include "sim/simulator.h"
+#include "serve/cost_model_backend.h"
+#include "serve/serving_loop.h"
 #include "workload/trace.h"
 
 using namespace aptserve;
@@ -76,8 +77,9 @@ int main() {
   for (Scheduler* sched :
        {static_cast<Scheduler*>(&fcfs), static_cast<Scheduler*>(&sjf),
         static_cast<Scheduler*>(&apt)}) {
-    Simulator sim(cost, SimulatorConfig{});
-    auto result = sim.Run(*trace, sched, slo);
+    auto backend = CostModelBackend::Create(cost, {});
+    if (!backend.ok()) return 1;
+    auto result = ServingLoop(backend->get(), {}).Run(*trace, sched, slo);
     if (!result.ok()) {
       std::fprintf(stderr, "%s: %s\n", sched->name().c_str(),
                    result.status().ToString().c_str());

@@ -125,8 +125,7 @@ struct ScalingRule {
   }
 };
 
-/// The single home of fleet options (satellite of ISSUE 5: the legacy
-/// sim-layer MultiInstanceConfig is now a thin wrapper around this).
+/// The single home of fleet options.
 struct FleetConfig {
   /// Routing policy, admission control, and the *initial* fleet size
   /// (router.n_instances).

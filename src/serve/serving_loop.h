@@ -6,9 +6,10 @@
 // advances the clock by the backend's iteration latency, and (6) emits
 // tokens / completes requests, collecting TTFT/TBT/SLO metrics.
 //
-// Simulator (analytic), ServingEngine (real transformer) and the
-// multi-instance fleet are all thin wrappers over this loop with different
-// backends; preemption and swap semantics live here, once.
+// Callers pair it with a backend directly: CostModelBackend (the analytic
+// simulator), InferenceBackend (the real transformer), or one backend per
+// instance under the multi-instance fleet; preemption and swap semantics
+// live here, once.
 //
 // The loop body is a resumable state machine (ServingLoopState): Start()
 // registers a trace, Step() runs exactly one classic loop iteration, and

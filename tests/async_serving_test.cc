@@ -101,12 +101,12 @@ void ExpectSameTokens(const TokenMap& want, const TokenMap& got) {
 }
 
 MultiInstanceRunner TwoInstanceRunner() {
-  DispatchConfig dispatch;
-  dispatch.n_instances = 2;
-  dispatch.policy = DispatchPolicy::kRoundRobin;
+  RouterConfig router;
+  router.n_instances = 2;
+  router.policy = RoutePolicy::kRoundRobin;
   ServingLoopConfig loop;
   loop.max_batch_size = INT32_MAX;
-  return MultiInstanceRunner(dispatch, loop);
+  return MultiInstanceRunner(Router(router), loop);
 }
 
 AsyncServingConfig FastReplay() {
@@ -251,10 +251,10 @@ TEST(AsyncServingTest, SingleInstanceFleetDrains) {
   // Degenerate fleet: one worker, everything through one queue; a lone
   // instance must also receive its own shed back without deadlocking.
   const uint64_t seed = FuzzSeeds().front();
-  DispatchConfig dispatch;
-  dispatch.n_instances = 1;
-  dispatch.policy = DispatchPolicy::kRoundRobin;
-  MultiInstanceRunner runner(dispatch, ServingLoopConfig{});
+  RouterConfig router;
+  router.n_instances = 1;
+  router.policy = RoutePolicy::kRoundRobin;
+  MultiInstanceRunner runner(Router(router), ServingLoopConfig{});
   const auto trace = TinyTrace(10, seed + 4);
 
   AsyncServingConfig async = FastReplay();

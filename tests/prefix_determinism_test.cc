@@ -1,6 +1,6 @@
 // Prefix sharing must be invisible in the tokens and identical in its hit
 // accounting across execution backends:
-//   - ServingEngine token streams are bit-identical with the index on and
+//   - Engine token streams are bit-identical with the index on and
 //     off, at any thread count (APTSERVE_NUM_THREADS included): adopted
 //     K/V blocks of a causal transformer equal the recomputed ones, and
 //     greedy sampling depends only on a request's own content.
@@ -14,8 +14,6 @@
 
 #include "backend_diff_util.h"
 #include "baselines/fcfs_scheduler.h"
-#include "engine/serving_engine.h"
-#include "sim/simulator.h"
 #include "workload/shared_prefix.h"
 #include "workload/token_ids.h"
 
@@ -37,24 +35,27 @@ std::vector<Request> Trace() {
   return *trace;
 }
 
-ServingEngineConfig EngineCfg(bool sharing, int32_t threads = 0) {
-  ServingEngineConfig cfg;
-  cfg.model = ModelConfig::Tiny();
-  cfg.num_blocks = 256;
-  cfg.block_size = 4;
-  cfg.slo = SloSpec{10.0, 10.0};
-  cfg.calibrate_rho = false;
-  cfg.virtual_timing = true;  // deterministic timeline
-  cfg.enable_prefix_sharing = sharing;
-  if (threads > 0) cfg.runtime.num_threads = threads;
-  return cfg;
-}
+/// A finished run plus the full token sequence of every request.
+struct EngineRun : ServingLoopResult {
+  std::unordered_map<RequestId, std::vector<int32_t>> tokens;
+};
 
-StatusOr<ServingEngineResult> RunEngine(const std::vector<Request>& trace,
-                                        bool sharing, int32_t threads = 0) {
-  ServingEngine serving(EngineCfg(sharing, threads));
+/// FCFS over a fresh Tiny engine (256 blocks of 4 positions) with a
+/// deterministic virtual timeline; `threads` = 0 keeps the default runtime.
+StatusOr<EngineRun> RunEngine(const std::vector<Request>& trace,
+                              bool sharing, int32_t threads = 0) {
+  InferenceBackendOptions opts;
+  opts.virtual_timing = true;
+  opts.enable_prefix_sharing = sharing;
+  if (threads > 0) opts.runtime.num_threads = threads;
+  InferenceBackend backend(ModelConfig::Tiny(), /*weight_seed=*/42,
+                           /*num_blocks=*/256, /*block_size=*/4,
+                           SamplingParams{}, opts);
   FcfsScheduler sched;
-  return serving.Serve(trace, &sched);
+  APT_ASSIGN_OR_RETURN(
+      ServingLoopResult r,
+      ServingLoop(&backend, {}).Run(trace, &sched, SloSpec{10.0, 10.0}));
+  return EngineRun{std::move(r), backend.TakeFinishedTokens()};
 }
 
 TEST(PrefixDeterminismTest, TokensBitIdenticalWithIndexOnAndOff) {
@@ -106,16 +107,19 @@ TEST(PrefixDeterminismTest, CostModelBackendSkipsPrefillAndLowersTtft) {
   const auto trace = Trace();
   const ModelSpec m = ModelSpec::Opt13B();
   CostModel cm(m, ClusterSpec::ForModel(m));
-  SimulatorConfig cfg;
-  cfg.block_size = 4;
-  cfg.pool_blocks_override = 256;
+  CostModelBackend::Options opts;
+  opts.block_size = 4;
+  opts.pool_blocks_override = 256;
 
   FcfsScheduler s_off, s_on;
-  Simulator off_sim(cm, cfg);
-  auto off = off_sim.Run(trace, &s_off, SloSpec{10.0, 10.0});
-  cfg.enable_prefix_sharing = true;
-  Simulator on_sim(cm, cfg);
-  auto on = on_sim.Run(trace, &s_on, SloSpec{10.0, 10.0});
+  auto off_backend = CostModelBackend::Create(cm, opts);
+  opts.enable_prefix_sharing = true;
+  auto on_backend = CostModelBackend::Create(cm, opts);
+  ASSERT_TRUE(off_backend.ok() && on_backend.ok());
+  auto off = ServingLoop(off_backend->get(), {})
+                 .Run(trace, &s_off, SloSpec{10.0, 10.0});
+  auto on = ServingLoop(on_backend->get(), {})
+                .Run(trace, &s_on, SloSpec{10.0, 10.0});
   ASSERT_TRUE(off.ok()) << off.status().ToString();
   ASSERT_TRUE(on.ok()) << on.status().ToString();
 

@@ -1,6 +1,6 @@
 // Fleet Router tests: legacy-policy parity (the router must reproduce the
-// pre-router DispatchTrace bit-for-bit, pinned against a verbatim copy of
-// the old implementation), the new least-outstanding-work and
+// pre-router dispatch bit-for-bit, pinned against a verbatim copy of the
+// old implementation), the new least-outstanding-work and
 // prefix-affinity policies, SLO admission control, and the cross-backend
 // agreement of routed fleets (via tests/backend_diff_util.h).
 #include <gtest/gtest.h>
@@ -27,11 +27,21 @@ namespace aptserve {
 namespace {
 
 // ---------------------------------------------------------------------------
-// The pre-router DispatchTrace, verbatim (the PR-2-era implementation).
+// The pre-router dispatch, verbatim apart from naming its three policies
+// with RoutePolicy.
 // ---------------------------------------------------------------------------
 
+/// The pre-router dispatch configuration, with its defaults.
+struct LegacyDispatchConfig {
+  int32_t n_instances = 2;
+  /// kRoundRobin, kLeastLoaded or kPowerOfTwo.
+  RoutePolicy policy = RoutePolicy::kLeastLoaded;
+  double load_window_s = 30.0;
+  uint64_t dispatch_seed = 99;
+};
+
 std::vector<int32_t> LegacyDispatchTrace(const std::vector<Request>& trace,
-                                         const DispatchConfig& config) {
+                                         const LegacyDispatchConfig& config) {
   const int32_t n = config.n_instances;
   std::vector<int32_t> assignment(trace.size(), 0);
   if (n == 1) return assignment;
@@ -59,10 +69,10 @@ std::vector<int32_t> LegacyDispatchTrace(const std::vector<Request>& trace,
   for (size_t r = 0; r < trace.size(); ++r) {
     expire(trace[r].arrival);
     switch (config.policy) {
-      case DispatchPolicy::kRoundRobin:
+      case RoutePolicy::kRoundRobin:
         assign(r, static_cast<int32_t>(r % n));
         break;
-      case DispatchPolicy::kLeastLoaded: {
+      case RoutePolicy::kLeastLoaded: {
         int32_t best = 0;
         for (int32_t i = 1; i < n; ++i) {
           if (backlog[i] < backlog[best]) best = i;
@@ -70,13 +80,15 @@ std::vector<int32_t> LegacyDispatchTrace(const std::vector<Request>& trace,
         assign(r, best);
         break;
       }
-      case DispatchPolicy::kPowerOfTwo: {
+      case RoutePolicy::kPowerOfTwo: {
         const int32_t a = static_cast<int32_t>(rng.UniformInt(0, n - 1));
         int32_t b = static_cast<int32_t>(rng.UniformInt(0, n - 2));
         if (b >= a) ++b;
         assign(r, backlog[a] <= backlog[b] ? a : b);
         break;
       }
+      default:
+        APT_CHECK_MSG(false, "not a pre-router dispatch policy");
     }
   }
   return assignment;
@@ -149,21 +161,24 @@ BackendFactory EngineBackendFactory(bool sharing, int32_t block_size = 4,
 // Legacy-policy parity.
 // ---------------------------------------------------------------------------
 
-class LegacyPolicyParity
-    : public ::testing::TestWithParam<DispatchPolicy> {};
+class LegacyPolicyParity : public ::testing::TestWithParam<RoutePolicy> {};
 
 TEST_P(LegacyPolicyParity, RouterReproducesPrePrDispatchBitForBit) {
-  DispatchConfig cfg;
+  LegacyDispatchConfig cfg;
   cfg.policy = GetParam();
   for (int32_t n : {1, 2, 3, 5}) {
     cfg.n_instances = n;
     for (double rate : {0.5, 8.0, 50.0}) {
       const auto trace = MakeTrace(rate, 160, 7 + n);
       const auto legacy = LegacyDispatchTrace(trace, cfg);
-      // Both the kept DispatchTrace entry point and a Router built from
-      // the same config must agree with the pre-PR implementation.
-      EXPECT_EQ(legacy, DispatchTrace(trace, cfg));
-      const RouteDecision d = Router(ToRouterConfig(cfg)).Route(trace);
+      // A Router over the same configuration must agree with the
+      // pre-router implementation.
+      RouterConfig rc;
+      rc.n_instances = cfg.n_instances;
+      rc.policy = cfg.policy;
+      rc.load_window_s = cfg.load_window_s;
+      rc.dispatch_seed = cfg.dispatch_seed;
+      const RouteDecision d = Router(rc).Route(trace);
       EXPECT_EQ(legacy, d.assignment);
       EXPECT_EQ(d.rejected, 0);
       EXPECT_EQ(d.admitted, static_cast<int64_t>(trace.size()));
@@ -172,34 +187,50 @@ TEST_P(LegacyPolicyParity, RouterReproducesPrePrDispatchBitForBit) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, LegacyPolicyParity,
-                         ::testing::Values(DispatchPolicy::kRoundRobin,
-                                           DispatchPolicy::kLeastLoaded,
-                                           DispatchPolicy::kPowerOfTwo),
+                         ::testing::Values(RoutePolicy::kRoundRobin,
+                                           RoutePolicy::kLeastLoaded,
+                                           RoutePolicy::kPowerOfTwo),
                          [](const auto& info) {
-                           return DispatchPolicyName(info.param) ==
-                                          std::string("round-robin")
+                           return info.param == RoutePolicy::kRoundRobin
                                       ? "RoundRobin"
-                                      : DispatchPolicyName(info.param) ==
-                                                std::string("least-loaded")
-                                            ? "LeastLoaded"
-                                            : "PowerOfTwo";
+                                  : info.param == RoutePolicy::kLeastLoaded
+                                      ? "LeastLoaded"
+                                      : "PowerOfTwo";
                          });
 
 TEST(RouterParityTest, RoundRobinFleetReportMatchesLegacyRunnerBitForBit) {
   // Full end-to-end pin: a Router-driven fleet under round-robin must
-  // reproduce the pre-router runner's merged report exactly.
+  // reproduce the pre-router runner's merged report exactly. That runner
+  // sharded the trace by the legacy dispatch, served each shard to
+  // completion on its own loop and merged the reports.
   const SloSpec slo{1.0, 1.0};
   const CostModel cm = Opt13();
   const auto trace = MakeTrace(6.0, 150, 21);
+  const BackendFactory make_backend = CostBackendFactory(cm, false, 16, -1);
 
-  DispatchConfig legacy;
+  LegacyDispatchConfig legacy;
   legacy.n_instances = 3;
-  legacy.policy = DispatchPolicy::kRoundRobin;
-  MultiInstanceRunner legacy_runner(legacy, ServingLoopConfig{});
-  auto legacy_result =
-      legacy_runner.Run(trace, [] { return std::make_unique<FcfsScheduler>(); },
-                        CostBackendFactory(cm, false, 16, -1), slo);
-  ASSERT_TRUE(legacy_result.ok()) << legacy_result.status().ToString();
+  legacy.policy = RoutePolicy::kRoundRobin;
+  const std::vector<int32_t> assignment = LegacyDispatchTrace(trace, legacy);
+  std::vector<std::vector<Request>> shards(legacy.n_instances);
+  for (size_t i = 0; i < trace.size(); ++i) {
+    shards[assignment[i]].push_back(trace[i]);
+  }
+  MultiInstanceResult legacy_fleet;
+  std::vector<SloReport> shard_reports;
+  for (int32_t i = 0; i < legacy.n_instances; ++i) {
+    auto backend = make_backend(i);
+    ASSERT_TRUE(backend.ok());
+    FcfsScheduler sched;
+    auto r = ServingLoop(backend->get(), {}).Run(shards[i], &sched, slo);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    shard_reports.push_back(r->report);
+    legacy_fleet.requests_per_instance.push_back(
+        static_cast<int32_t>(shards[i].size()));
+  }
+  legacy_fleet.combined =
+      MergeReports(shard_reports, legacy_fleet.requests_per_instance);
+  const MultiInstanceResult* legacy_result = &legacy_fleet;
 
   RouterConfig rc;
   rc.n_instances = 3;
@@ -207,7 +238,7 @@ TEST(RouterParityTest, RoundRobinFleetReportMatchesLegacyRunnerBitForBit) {
   MultiInstanceRunner routed(Router(rc), ServingLoopConfig{});
   auto routed_result =
       routed.Run(trace, [] { return std::make_unique<FcfsScheduler>(); },
-                 CostBackendFactory(cm, false, 16, -1), slo);
+                 make_backend, slo);
   ASSERT_TRUE(routed_result.ok()) << routed_result.status().ToString();
 
   EXPECT_EQ(legacy_result->requests_per_instance,

@@ -1,7 +1,6 @@
-// End-to-end tests of ServingEngine: real transformer compute driven by
-// each scheduler, with real hybrid-cache memory management.
-#include "engine/serving_engine.h"
-
+// End-to-end tests of serving on the real transformer (ServingLoop over an
+// InferenceBackend): real compute driven by each scheduler, with real
+// hybrid-cache memory management.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -9,6 +8,9 @@
 #include "baselines/fcfs_scheduler.h"
 #include "baselines/sarathi_scheduler.h"
 #include "core/apt_scheduler.h"
+#include "engine/rho_calibrator.h"
+#include "serve/inference_backend.h"
+#include "serve/serving_loop.h"
 #include "workload/arrival.h"
 
 namespace aptserve {
@@ -30,17 +32,26 @@ std::vector<Request> TinyTrace(int32_t n, double rate, uint64_t seed = 4) {
   return trace;
 }
 
-ServingEngineConfig Cfg() {
-  ServingEngineConfig cfg;
-  cfg.model = ModelConfig::Tiny();
-  cfg.num_blocks = 96;
-  cfg.block_size = 8;
-  cfg.slo = SloSpec{5.0, 5.0};
-  cfg.calibrate_rho = false;  // keep unit tests fast
-  return cfg;
+const SloSpec kSlo{5.0, 5.0};
+
+/// The Tiny model on `num_blocks` blocks of 8 positions with greedy
+/// sampling. rho stays 0 unless given (calibration is slow).
+std::unique_ptr<InferenceBackend> Backend(int32_t num_blocks = 96,
+                                          double rho = 0.0) {
+  InferenceBackendOptions opts;
+  opts.rho_seconds_per_token = rho;
+  return std::make_unique<InferenceBackend>(
+      ModelConfig::Tiny(), /*weight_seed=*/42, num_blocks, /*block_size=*/8,
+      SamplingParams{}, opts);
 }
 
-class ServingEngineSchedulerTest
+StatusOr<ServingLoopResult> Serve(InferenceBackend* backend,
+                                  const std::vector<Request>& trace,
+                                  Scheduler* sched) {
+  return ServingLoop(backend, {}).Run(trace, sched, kSlo);
+}
+
+class EngineServingSchedulerTest
     : public ::testing::TestWithParam<std::string> {
  protected:
   std::unique_ptr<Scheduler> Make(const SloSpec& slo) {
@@ -59,69 +70,66 @@ class ServingEngineSchedulerTest
   }
 };
 
-TEST_P(ServingEngineSchedulerTest, ServesTraceToCompletion) {
-  ServingEngineConfig cfg = Cfg();
-  ServingEngine serving(cfg);
-  auto sched = Make(cfg.slo);
+TEST_P(EngineServingSchedulerTest, ServesTraceToCompletion) {
+  auto backend = Backend();
+  auto sched = Make(kSlo);
   auto trace = TinyTrace(24, 1000.0);  // effectively all-at-once
-  auto result = serving.Serve(trace, sched.get());
+  auto result = Serve(backend.get(), trace, sched.get());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->report.ttfts.count(), 24u);
   EXPECT_GT(result->tokens_generated, 0);
   EXPECT_GT(result->compute_seconds, 0.0);
   // Pool fully drained at the end.
-  EXPECT_EQ(serving.engine().pool().num_allocated(), 0);
+  EXPECT_EQ(backend->engine().pool().num_allocated(), 0);
 }
 
-TEST_P(ServingEngineSchedulerTest, MemoryPressureStillCompletes) {
-  ServingEngineConfig cfg = Cfg();
-  cfg.num_blocks = 24;  // tight: forces preemption / hidden usage
-  ServingEngine serving(cfg);
-  auto sched = Make(cfg.slo);
+TEST_P(EngineServingSchedulerTest, MemoryPressureStillCompletes) {
+  auto backend = Backend(24);  // tight: forces preemption / hidden usage
+  auto sched = Make(kSlo);
   auto trace = TinyTrace(16, 1000.0, 9);
-  auto result = serving.Serve(trace, sched.get());
+  auto result = Serve(backend.get(), trace, sched.get());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->report.ttfts.count(), 16u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Schedulers, ServingEngineSchedulerTest,
+INSTANTIATE_TEST_SUITE_P(Schedulers, EngineServingSchedulerTest,
                          ::testing::Values("fcfs", "sarathi", "apt"),
                          [](const auto& info) { return info.param; });
 
-TEST(ServingEngineTest, GeneratedTokenCountsMatchTrace) {
-  ServingEngineConfig cfg = Cfg();
-  ServingEngine serving(cfg);
+TEST(EngineServingTest, GeneratedTokenCountsMatchTrace) {
+  auto backend = Backend();
   FcfsScheduler sched;
   auto trace = TinyTrace(10, 1000.0, 2);
   int64_t expected_tokens = 0;
   for (const auto& r : trace) expected_tokens += r.output_len;
-  auto result = serving.Serve(trace, &sched);
+  auto result = Serve(backend.get(), trace, &sched);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->tokens_generated, expected_tokens);
 }
 
-TEST(ServingEngineTest, RejectsOversizedRequest) {
-  ServingEngineConfig cfg = Cfg();
-  ServingEngine serving(cfg);
+TEST(EngineServingTest, RejectsOversizedRequest) {
+  auto backend = Backend();
   FcfsScheduler sched;
   Request r;
   r.id = 0;
-  r.prompt_len = cfg.model.max_seq_len;
+  r.prompt_len = ModelConfig::Tiny().max_seq_len;
   r.output_len = 8;
-  auto result = serving.Serve({r}, &sched);
+  auto result = Serve(backend.get(), {r}, &sched);
   EXPECT_TRUE(result.status().IsInvalidArgument());
 }
 
-TEST(ServingEngineTest, CalibratedRhoIsPositive) {
-  ServingEngineConfig cfg = Cfg();
-  cfg.calibrate_rho = true;
-  ServingEngine serving(cfg);
+TEST(EngineServingTest, CalibratedRhoIsPositive) {
+  // The paper's offline pass (Eq. 6), measured on the serving model.
+  auto calib = CalibrateRho(ModelConfig::Tiny(), /*seed=*/42, {16, 48},
+                            /*reps=*/2);
+  ASSERT_TRUE(calib.ok()) << calib.status().ToString();
+  auto backend = Backend(96, calib->rho_seconds_per_token);
   AptConfig ac;
-  ac.slo = cfg.slo;
+  ac.slo = kSlo;
   AptScheduler sched(ac);
-  auto result = serving.Serve(TinyTrace(6, 1000.0, 5), &sched);
+  auto result = Serve(backend.get(), TinyTrace(6, 1000.0, 5), &sched);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_GT(result->rho_seconds_per_token, 0.0);
+  EXPECT_GT(backend->cost_model()->RhoSecondsPerToken(), 0.0);
 }
 
 }  // namespace

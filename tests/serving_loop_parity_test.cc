@@ -1,8 +1,8 @@
 // Parity pin for the ServingLoop/ExecutionBackend refactor: the
-// CostModelBackend loop must reproduce the pre-refactor Simulator
+// CostModelBackend loop must reproduce the pre-refactor simulator
 // bit-for-bit. `LegacySimulatorRun` below is a faithful port of the
-// original monolithic Simulator::Run (the loop as it existed before the
-// serve/ layer); every run compares its SloReport — every scalar and every
+// original monolithic simulator loop (as it existed before the serve/
+// layer); every run compares its SloReport — every scalar and every
 // latency sample — exactly, across schedulers, load levels and both
 // preemption modes.
 #include <gtest/gtest.h>
@@ -25,15 +25,28 @@
 #include "common/logging.h"
 #include "core/apt_sarathi_scheduler.h"
 #include "core/apt_scheduler.h"
-#include "sim/simulator.h"
+#include "serve/cost_model_backend.h"
+#include "serve/serving_loop.h"
 #include "workload/trace.h"
 
 namespace aptserve {
 namespace {
 
 // ---------------------------------------------------------------------------
-// The pre-refactor iteration loop, verbatim (modulo the struct name).
+// The pre-refactor iteration loop, verbatim (modulo the struct names).
 // ---------------------------------------------------------------------------
+
+/// The knobs the legacy loop reads, with the legacy defaults.
+struct LegacyConfig {
+  int32_t block_size = 16;
+  int32_t max_batch_size = 256;
+  int64_t max_iterations = 5'000'000;
+  /// <= 0 derives the pool from the cluster memory minus weights.
+  int32_t pool_blocks_override = -1;
+  PreemptionMode preemption_mode = PreemptionMode::kRecompute;
+  /// <= 0 defaults to 4x the pool.
+  int32_t swap_blocks = -1;
+};
 
 struct LegacyResult {
   SloReport report;
@@ -48,7 +61,7 @@ struct LegacyResult {
 };
 
 StatusOr<LegacyResult> LegacySimulatorRun(const CostModel& cost_model,
-                                          const SimulatorConfig& config,
+                                          const LegacyConfig& config,
                                           const std::vector<Request>& trace,
                                           Scheduler* scheduler,
                                           const SloSpec& slo) {
@@ -442,7 +455,7 @@ void ExpectReportsIdentical(const SloReport& legacy, const SloReport& now) {
   EXPECT_EQ(legacy.p99_tbts.samples(), now.p99_tbts.samples());
 }
 
-void RunParity(const std::string& scheduler_kind, const SimulatorConfig& cfg,
+void RunParity(const std::string& scheduler_kind, const LegacyConfig& cfg,
                double rate, int32_t n, uint64_t seed = 3) {
   const SloSpec slo{1.0, 1.0};
   const CostModel cm = MakeCostModel();
@@ -454,15 +467,25 @@ void RunParity(const std::string& scheduler_kind, const SimulatorConfig& cfg,
   ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
 
   auto new_sched = MakeNamedScheduler(scheduler_kind, slo);
-  Simulator sim(cm, cfg);
-  auto current = sim.Run(trace, new_sched.get(), slo);
+  CostModelBackend::Options opts;
+  opts.block_size = cfg.block_size;
+  opts.pool_blocks_override = cfg.pool_blocks_override;
+  opts.swap_blocks = cfg.swap_blocks;
+  auto backend = CostModelBackend::Create(cm, opts);
+  ASSERT_TRUE(backend.ok()) << backend.status().ToString();
+  ServingLoopConfig loop;
+  loop.max_batch_size = cfg.max_batch_size;
+  loop.max_iterations = cfg.max_iterations;
+  loop.preemption_mode = cfg.preemption_mode;
+  auto current =
+      ServingLoop(backend->get(), loop).Run(trace, new_sched.get(), slo);
   ASSERT_TRUE(current.ok()) << current.status().ToString();
 
   ExpectReportsIdentical(legacy->report, current->report);
   EXPECT_EQ(legacy->prefill_iterations, current->prefill_iterations);
   EXPECT_EQ(legacy->decode_iterations, current->decode_iterations);
   EXPECT_EQ(legacy->mixed_iterations, current->mixed_iterations);
-  EXPECT_EQ(legacy->pool_blocks, current->pool_blocks);
+  EXPECT_EQ(legacy->pool_blocks, (*backend)->pool_blocks());
   EXPECT_EQ(legacy->peak_blocks, current->peak_blocks);
   EXPECT_EQ(legacy->swap_outs, current->swap_outs);
   EXPECT_EQ(legacy->swap_ins, current->swap_ins);
@@ -480,21 +503,21 @@ void RunParity(const std::string& scheduler_kind, const SimulatorConfig& cfg,
 class ParityTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(ParityTest, LightLoad) {
-  RunParity(GetParam(), SimulatorConfig{}, 0.5, 60);
+  RunParity(GetParam(), LegacyConfig{}, 0.5, 60);
 }
 
 TEST_P(ParityTest, HeavyLoad) {
-  RunParity(GetParam(), SimulatorConfig{}, 20.0, 120);
+  RunParity(GetParam(), LegacyConfig{}, 20.0, 120);
 }
 
 TEST_P(ParityTest, MemoryPressureRecompute) {
-  SimulatorConfig cfg;
+  LegacyConfig cfg;
   cfg.pool_blocks_override = 220;
   RunParity(GetParam(), cfg, 8.0, 80);
 }
 
 TEST_P(ParityTest, MemoryPressureSwap) {
-  SimulatorConfig cfg;
+  LegacyConfig cfg;
   cfg.pool_blocks_override = 220;
   cfg.preemption_mode = PreemptionMode::kSwap;
   RunParity(GetParam(), cfg, 8.0, 80);
@@ -503,7 +526,7 @@ TEST_P(ParityTest, MemoryPressureSwap) {
 TEST_P(ParityTest, MemoryPressureSwapTinySwapSpace) {
   // A nearly-full swap space exercises the full-swap-space -> recompute
   // fallback in both implementations.
-  SimulatorConfig cfg;
+  LegacyConfig cfg;
   cfg.pool_blocks_override = 220;
   cfg.preemption_mode = PreemptionMode::kSwap;
   cfg.swap_blocks = 32;
