@@ -1,6 +1,6 @@
 // Async wall-clock serving vs the epoch-barrier fleet: the same trace, the
 // same two real-engine instances, served (a) by the virtual-time
-// MultiInstanceRunner (every instance stepped to completion behind the
+// FleetController::Run (every instance stepped to completion behind the
 // merge barrier) and (b) by the continuously-batching async mode (worker
 // threads, bounded arrival queues, mid-step injection, real-time replay).
 // Token streams are asserted bit-identical between the modes — the
@@ -28,7 +28,7 @@
 #include "common/rng.h"
 #include "serve/async_serving.h"
 #include "serve/inference_backend.h"
-#include "serve/multi_instance.h"
+#include "serve/fleet_controller.h"
 #include "sim/report_writer.h"
 
 using namespace aptserve;
@@ -83,13 +83,12 @@ SchedulerFactory Fcfs() {
   return [] { return std::make_unique<FcfsScheduler>(); };
 }
 
-MultiInstanceRunner MakeRunner(int32_t max_batch_size = INT32_MAX) {
-  RouterConfig router;
-  router.n_instances = kInstances;
-  router.policy = RoutePolicy::kRoundRobin;
-  ServingLoopConfig loop;
-  loop.max_batch_size = max_batch_size;
-  return MultiInstanceRunner(Router(router), loop);
+FleetController MakeFleet(int32_t max_batch_size = INT32_MAX) {
+  FleetConfig config;
+  config.router.n_instances = kInstances;
+  config.router.policy = RoutePolicy::kRoundRobin;
+  config.loop.max_batch_size = max_batch_size;
+  return FleetController(config);
 }
 
 TokenMap Flatten(std::vector<TokenMap> sinks) {
@@ -164,9 +163,8 @@ int main() {
 
   // ---- Epoch-barrier reference: virtual-time fleet ------------------------
   std::vector<TokenMap> virt_sinks(kInstances);
-  MultiInstanceRunner runner = MakeRunner();
   double t0 = NowSeconds();
-  auto virt = runner.Run(trace, Fcfs(), EngineFactory(&virt_sinks), slo);
+  auto virt = MakeFleet().Run(trace, Fcfs(), EngineFactory(&virt_sinks), slo);
   const double virt_wall = NowSeconds() - t0;
   if (!virt.ok()) {
     std::fprintf(stderr, "virtual run: %s\n", virt.status().ToString().c_str());
@@ -179,10 +177,9 @@ int main() {
     async.replay_speedup = speedup;
     async.max_wall_seconds = 120.0;
     std::vector<TokenMap> async_sinks(kInstances);
-    MultiInstanceRunner arunner = MakeRunner();
     t0 = NowSeconds();
-    auto live = arunner.RunAsync(trace, Fcfs(), EngineFactory(&async_sinks),
-                                 slo, async);
+    auto live = MakeFleet().RunAsync(trace, Fcfs(),
+                                     EngineFactory(&async_sinks), slo, async);
     const double async_wall = NowSeconds() - t0;
     if (!live.ok()) {
       std::fprintf(stderr, "async run: %s\n", live.status().ToString().c_str());
@@ -254,9 +251,9 @@ int main() {
     constexpr double kShedSpeedup = 400.0;
 
     std::vector<TokenMap> ref_sinks(kInstances);
-    MultiInstanceRunner ref_runner = MakeRunner(kShedBatchCap);
-    auto ref = ref_runner.Run(trace, Fcfs(),
-                              EngineFactory(&ref_sinks, /*uniform=*/true), slo);
+    auto ref = MakeFleet(kShedBatchCap)
+                   .Run(trace, Fcfs(),
+                        EngineFactory(&ref_sinks, /*uniform=*/true), slo);
     if (!ref.ok()) {
       std::fprintf(stderr, "shed reference: %s\n",
                    ref.status().ToString().c_str());
@@ -268,11 +265,11 @@ int main() {
     async.max_wall_seconds = 120.0;
     async.shed_queue_depth = 1;  // shed on any queue depth over one
     std::vector<TokenMap> shed_sinks(kInstances);
-    MultiInstanceRunner srunner = MakeRunner(kShedBatchCap);
     t0 = NowSeconds();
-    auto live = srunner.RunAsync(
-        trace, Fcfs(), EngineFactory(&shed_sinks, /*uniform=*/true), slo,
-        async);
+    auto live = MakeFleet(kShedBatchCap)
+                    .RunAsync(trace, Fcfs(),
+                              EngineFactory(&shed_sinks, /*uniform=*/true),
+                              slo, async);
     const double shed_wall = NowSeconds() - t0;
     if (!live.ok()) {
       std::fprintf(stderr, "shed run: %s\n", live.status().ToString().c_str());
@@ -321,11 +318,11 @@ int main() {
   bench::JsonObject e;
   e.Str("mode", "epoch_barrier_virtual")
       .Int("requests", static_cast<int64_t>(trace.size()))
-      .Int("tokens", virt->tokens_generated)
+      .Int("tokens", virt->serve.tokens_generated)
       .Num("wall_seconds", virt_wall)
-      .Num("virtual_ttft_p50_s", virt->combined.ttfts.Quantile(0.5))
-      .Num("virtual_ttft_p99_s", virt->combined.ttfts.P99())
-      .Num("slo_attainment", virt->combined.slo_attainment);
+      .Num("virtual_ttft_p50_s", virt->serve.combined.ttfts.Quantile(0.5))
+      .Num("virtual_ttft_p99_s", virt->serve.combined.ttfts.P99())
+      .Num("slo_attainment", virt->serve.combined.slo_attainment);
   bench::BenchJson::Instance().AddEntry(std::move(e));
 
   std::printf(

@@ -2,7 +2,7 @@
 // fleet sizes and dispatch policies with vLLM-style FCFS vs Apt-Serve per
 // instance, reporting fleet-level SLO attainment.
 #include "bench/bench_util.h"
-#include "serve/multi_instance.h"
+#include "serve/fleet_controller.h"
 
 using namespace aptserve;
 using namespace aptserve::bench;
@@ -36,25 +36,25 @@ int main() {
            {RoutePolicy::kRoundRobin, RoutePolicy::kLeastLoaded,
             RoutePolicy::kPowerOfTwo}) {
         if (n == 1 && policy != RoutePolicy::kRoundRobin) continue;
-        RouterConfig router;
-        router.n_instances = n;
-        router.policy = policy;
-        MultiInstanceRunner mi(Router(router), ServingLoopConfig{});
-        auto rf = mi.Run(*trace,
-                         [] { return std::make_unique<FcfsScheduler>(); },
-                         make_backend, slo);
-        auto ra = mi.Run(*trace,
-                         [&] {
-                           AptConfig c;
-                           c.slo = slo;
-                           return std::make_unique<AptScheduler>(c);
-                         },
-                         make_backend, slo);
+        FleetConfig config;
+        config.router.n_instances = n;
+        config.router.policy = policy;
+        FleetController fleet(config);
+        auto rf = fleet.Run(*trace,
+                            [] { return std::make_unique<FcfsScheduler>(); },
+                            make_backend, slo);
+        auto ra = fleet.Run(*trace,
+                            [&] {
+                              AptConfig c;
+                              c.slo = slo;
+                              return std::make_unique<AptScheduler>(c);
+                            },
+                            make_backend, slo);
         if (!rf.ok() || !ra.ok()) return 1;
         std::printf("%10.1f %6d %14s %12.1f %12.1f\n", rate, n,
                     RoutePolicyName(policy),
-                    100 * rf->combined.slo_attainment,
-                    100 * ra->combined.slo_attainment);
+                    100 * rf->serve.combined.slo_attainment,
+                    100 * ra->serve.combined.slo_attainment);
         std::fflush(stdout);
       }
     }

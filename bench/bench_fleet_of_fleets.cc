@@ -41,7 +41,7 @@
 #include "bench/bench_util.h"
 #include "serve/cell_router.h"
 #include "serve/cost_model_backend.h"
-#include "serve/multi_instance.h"
+#include "serve/fleet_controller.h"
 #include "serve/router.h"
 #include "workload/shared_prefix.h"
 
@@ -188,14 +188,11 @@ void RecordProbe(const std::string& mode, int32_t instances,
 MultiInstanceResult Serve(const std::vector<Request>& trace,
                           const CostModel& cm, RoutePolicy policy,
                           int32_t instances, int32_t num_cells) {
-  RouterConfig rc;
-  rc.n_instances = instances;
-  rc.policy = policy;
-  rc.block_size = kBlockSize;
-  CellRouterConfig cc;
-  cc.num_cells = num_cells;
-  MultiInstanceRunner runner(Router(rc, &cm), ServingLoopConfig{},
-                             RuntimeConfig{}, cc);
+  FleetConfig config;
+  config.router.n_instances = instances;
+  config.router.policy = policy;
+  config.router.block_size = kBlockSize;
+  config.cells.num_cells = num_cells;
   BackendFactory make_backend =
       [&cm](int32_t) -> StatusOr<std::unique_ptr<ExecutionBackend>> {
     CostModelBackend::Options o;
@@ -207,7 +204,7 @@ MultiInstanceResult Serve(const std::vector<Request>& trace,
                          CostModelBackend::Create(cm, o));
     return std::unique_ptr<ExecutionBackend>(std::move(backend));
   };
-  auto result = runner.Run(
+  auto result = FleetController(config, &cm).Run(
       trace, [] { return std::make_unique<FcfsScheduler>(); }, make_backend,
       SloSpec{10.0, 10.0});
   if (!result.ok()) {
@@ -215,7 +212,7 @@ MultiInstanceResult Serve(const std::vector<Request>& trace,
                  num_cells, result.status().ToString().c_str());
     std::abort();
   }
-  return *result;
+  return result->serve;
 }
 
 void RecordServe(const std::string& mode, int32_t instances,

@@ -20,8 +20,8 @@
 #include "baselines/fcfs_scheduler.h"
 #include "bench/bench_util.h"
 #include "serve/cost_model_backend.h"
+#include "serve/fleet_controller.h"
 #include "serve/inference_backend.h"
-#include "serve/multi_instance.h"
 #include "serve/router.h"
 #include "workload/shared_prefix.h"
 
@@ -52,11 +52,10 @@ std::vector<Request> MakeTrace(int32_t fan_out) {
 MultiInstanceResult RunFleet(const std::vector<Request>& trace,
                              const CostModel& cm, RoutePolicy policy,
                              int32_t instances, bool engine_backend) {
-  RouterConfig rc;
-  rc.n_instances = instances;
-  rc.policy = policy;
-  rc.block_size = kBlockSize;
-  MultiInstanceRunner runner(Router(rc, &cm), ServingLoopConfig{});
+  FleetConfig config;
+  config.router.n_instances = instances;
+  config.router.policy = policy;
+  config.router.block_size = kBlockSize;
   BackendFactory make_backend;
   if (engine_backend) {
     make_backend =
@@ -82,7 +81,7 @@ MultiInstanceResult RunFleet(const std::vector<Request>& trace,
       return std::unique_ptr<ExecutionBackend>(std::move(backend));
     };
   }
-  auto result = runner.Run(
+  auto result = FleetController(config, &cm).Run(
       trace, [] { return std::make_unique<FcfsScheduler>(); }, make_backend,
       SloSpec{10.0, 10.0});
   if (!result.ok()) {
@@ -90,7 +89,7 @@ MultiInstanceResult RunFleet(const std::vector<Request>& trace,
                  result.status().ToString().c_str());
     std::abort();
   }
-  return *result;
+  return result->serve;
 }
 
 void Record(const std::string& backend, RoutePolicy policy,

@@ -32,7 +32,6 @@
 #include "obs/trace_recorder.h"
 #include "serve/async_serving.h"
 #include "serve/inference_backend.h"
-#include "serve/multi_instance.h"
 
 using namespace aptserve;
 
@@ -113,23 +112,22 @@ StatusOr<RunResult> RunOnce(Mode mode, const std::vector<Request>& trace) {
   AsyncServingConfig async;
   async.replay_speedup = kReplaySpeedup;
   async.max_wall_seconds = 120.0;
-  if (mode != Mode::kOff) {
-    async.trace = &recorder;
-    async.metrics = &metrics;
-  }
 
-  RouterConfig router;
-  router.n_instances = kInstances;
-  router.policy = RoutePolicy::kRoundRobin;
-  ServingLoopConfig loop;
-  loop.max_batch_size = INT32_MAX;
-  MultiInstanceRunner runner(Router(router), loop);
+  FleetConfig config;
+  config.router.n_instances = kInstances;
+  config.router.policy = RoutePolicy::kRoundRobin;
+  config.loop.max_batch_size = INT32_MAX;
+  if (mode != Mode::kOff) {
+    config.trace = &recorder;
+    config.metrics = &metrics;
+  }
+  FleetController fleet(config);
 
   std::vector<TokenMap> sinks(kInstances);
   APT_ASSIGN_OR_RETURN(
       AsyncServingResult live,
-      runner.RunAsync(trace, Fcfs(), EngineFactory(&sinks), SloSpec{5.0, 5.0},
-                      async));
+      fleet.RunAsync(trace, Fcfs(), EngineFactory(&sinks), SloSpec{5.0, 5.0},
+                     async));
 
   RunResult out;
   out.tok_s = live.wall.throughput_tok_s;

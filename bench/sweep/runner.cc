@@ -15,7 +15,7 @@
 #include "runtime/runtime_config.h"
 #include "runtime/thread_pool.h"
 #include "serve/cost_model_backend.h"
-#include "serve/multi_instance.h"
+#include "serve/fleet_controller.h"
 #include "serve/router.h"
 #include "sim/cluster_spec.h"
 #include "sim/cost_model.h"
@@ -204,14 +204,14 @@ StatusOr<json::JsonValue> ExecuteCell(const RunCell& cell) {
   const CostModel cost_model(model, ClusterSpec::ForModel(model));
   const SloSpec slo{cell.params.slo_ttft_s, cell.params.slo_tbt_p99_s};
 
-  RouterConfig rc;
+  FleetConfig fleet;
+  RouterConfig& rc = fleet.router;
   rc.n_instances = cell.params.n_instances;
   APT_ASSIGN_OR_RETURN(rc.policy, ParseRoutePolicy(cell.router_policy));
   APT_ASSIGN_OR_RETURN(rc.admission, ParseAdmissionMode(cell.admission));
   rc.admission_slack = cell.params.admission_slack;
   rc.block_size = cell.params.block_size;
   rc.default_slo = slo;
-  const Router router(rc, &cost_model);
 
   // Validate the scheduler name once up front; the per-instance factory
   // then can't fail (SchedulerFactory has no error channel).
@@ -236,14 +236,12 @@ StatusOr<json::JsonValue> ExecuteCell(const RunCell& cell) {
 
   // Each cell runs its fleet serially: sweep-level parallelism comes from
   // running many cells at once, and nested pools would oversubscribe.
-  RuntimeConfig serial;
-  serial.num_threads = 1;
-  CellRouterConfig cells;
-  cells.num_cells = cell.params.num_cells;
-  MultiInstanceRunner runner(router, ServingLoopConfig{}, serial, cells);
-  APT_ASSIGN_OR_RETURN(MultiInstanceResult result,
-                       runner.Run(trace, make_scheduler, make_backend, slo));
-  return ResultJson(cell, trace.size(), result);
+  fleet.runtime.num_threads = 1;
+  fleet.cells.num_cells = cell.params.num_cells;
+  APT_ASSIGN_OR_RETURN(FleetResult result,
+                       FleetController(fleet, &cost_model)
+                           .Run(trace, make_scheduler, make_backend, slo));
+  return ResultJson(cell, trace.size(), result.serve);
 }
 
 StatusOr<SweepRunResult> RunSweep(const SweepConfig& config,

@@ -1,6 +1,6 @@
 // Sweep execution: runs every expanded RunCell in-process through the
-// Router + MultiInstanceRunner + CostModelBackend stack, with bounded
-// concurrency on the runtime ThreadPool. Each cell owns one directory
+// FleetController + CostModelBackend stack, with bounded concurrency on the
+// runtime ThreadPool. Each cell owns one directory
 // under <exp_dir>/runs/<run_id>/ holding meta.json (the resolved cell plus
 // the environment stamp) and result.json (the metrics readout). --resume
 // skips a cell iff its meta.json "cell" subtree equals the freshly

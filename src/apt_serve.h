@@ -44,8 +44,8 @@
 // The unified serving loop and its execution backends.
 #include "serve/cost_model_backend.h"
 #include "serve/execution_backend.h"
+#include "serve/fleet_controller.h"
 #include "serve/inference_backend.h"
-#include "serve/multi_instance.h"
 #include "serve/serving_loop.h"
 
 // Serving simulation substrate.

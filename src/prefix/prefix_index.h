@@ -72,6 +72,18 @@ struct PrefixStats {
   int64_t cow_matches = 0;      ///< adoptions that ended mid-block
   int64_t inserted_blocks = 0;
   int64_t evicted_blocks = 0;
+
+  /// Field-wise sum (fleet totals over per-instance stats).
+  PrefixStats& operator+=(const PrefixStats& o) {
+    lookups += o.lookups;
+    hits += o.hits;
+    matched_tokens += o.matched_tokens;
+    shared_blocks += o.shared_blocks;
+    cow_matches += o.cow_matches;
+    inserted_blocks += o.inserted_blocks;
+    evicted_blocks += o.evicted_blocks;
+    return *this;
+  }
 };
 
 class PrefixIndex {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <deque>
 #include <limits>
 #include <memory>
 #include <string>
@@ -13,21 +12,15 @@
 #include "common/logging.h"
 #include "runtime/bounded_queue.h"
 #include "runtime/clock.h"
-#include "serve/multi_instance.h"
+#include "serve/fleet_internal.h"
 
 namespace aptserve {
 
 namespace {
 
-void AddPrefixStats(const PrefixStats& from, PrefixStats* into) {
-  into->lookups += from.lookups;
-  into->hits += from.hits;
-  into->matched_tokens += from.matched_tokens;
-  into->shared_blocks += from.shared_blocks;
-  into->cow_matches += from.cow_matches;
-  into->inserted_blocks += from.inserted_blocks;
-  into->evicted_blocks += from.evicted_blocks;
-}
+/// How long an idle (drained) worker blocks on its arrival queue before
+/// re-checking for shutdown.
+constexpr std::chrono::microseconds kIdlePoll(500);
 
 /// What travels controller -> worker over an arrival queue: a freshly
 /// routed request, or a shed request migrating in with its cache state.
@@ -37,6 +30,7 @@ struct AsyncCommand {
   Request request;            ///< kInject
   double wall_arrival = 0.0;  ///< kInject: wall stamp at release
   MigratedRequest migrated;   ///< kReceive
+  bool cross_cell = false;    ///< kReceive: priced on the cross-cell tier
 };
 
 /// What travels worker -> controller over the event queue.
@@ -53,10 +47,7 @@ struct AsyncEvent {
 /// One continuously-batching serving instance: a worker thread that owns
 /// the loop state end-to-end (no cross-thread access to the loop, ever —
 /// all communication is queue messages and the published depth atomic).
-struct AsyncInstance {
-  std::unique_ptr<Scheduler> scheduler;
-  std::unique_ptr<ExecutionBackend> backend;
-  std::unique_ptr<ServingLoopState> loop;
+struct AsyncInstance : fleet_internal::InstanceStack {
   std::unique_ptr<runtime::BoundedQueue<AsyncCommand>> arrivals;
   std::thread thread;
   /// Waiting-queue depth the worker publishes each iteration — the
@@ -66,47 +57,47 @@ struct AsyncInstance {
 
 }  // namespace
 
-StatusOr<AsyncServingResult> RunAsyncFleet(
-    const std::vector<Request>& trace, const Router& router,
-    const ServingLoopConfig& loop_config, const AsyncServingConfig& async,
-    const SchedulerFactory& make_scheduler, const BackendFactory& make_backend,
-    const SloSpec& slo, const CostModel* migration_cost_model) {
-  const int32_t n = router.config().n_instances;
-  APT_CHECK(n >= 1);
-  APT_CHECK(async.queue_capacity >= 1);
+StatusOr<AsyncServingResult> FleetController::RunAsync(
+    const std::vector<Request>& trace, const SchedulerFactory& make_scheduler,
+    const BackendFactory& make_backend, const SloSpec& slo,
+    const AsyncServingConfig& async) {
+  if (config_.IsElastic()) {
+    return Status::InvalidArgument(
+        "async serving runs a static fleet: scaling rules and planner "
+        "migration are virtual-time features (queue shedding is the async "
+        "mode's live motion)");
+  }
+  const int32_t n = router_.config().n_instances;
   APT_CHECK(async.replay_speedup > 0.0);
-
-  runtime::MonotonicClock clock;
-  // Sized so worker event pushes can always complete while the controller
-  // is momentarily blocked handing a shed request to a full arrival queue
-  // (every request finishes exactly once; sheds are drained continuously).
-  runtime::BoundedQueue<AsyncEvent> events(2 * trace.size() + 256);
+  const CostModel* migration_cost_model = router_.cost_model();
 
   std::vector<std::unique_ptr<AsyncInstance>> fleet;
   fleet.reserve(n);
   for (int32_t i = 0; i < n; ++i) {
     auto inst = std::make_unique<AsyncInstance>();
-    inst->scheduler = make_scheduler();
-    APT_ASSIGN_OR_RETURN(inst->backend, make_backend(i));
-    inst->loop =
-        std::make_unique<ServingLoopState>(inst->backend.get(), loop_config);
-    if (async.trace != nullptr || async.metrics != nullptr) {
-      inst->loop->AttachObservability(
-          async.trace != nullptr ? async.trace->MakeSink(i)
-                                 : obs::TraceSink(),
-          async.metrics, i);
-    }
-    APT_RETURN_NOT_OK(inst->loop->Start({}, inst->scheduler.get(), slo));
-    inst->loop->AttachWallClock(&clock);
+    APT_RETURN_NOT_OK(fleet_internal::StartInstance(
+        config_, i, make_scheduler, make_backend, slo, inst.get()));
     inst->arrivals = std::make_unique<runtime::BoundedQueue<AsyncCommand>>(
-        async.queue_capacity);
+        kAsyncArrivalQueueCapacity);
     fleet.push_back(std::move(inst));
   }
 
+  // The epoch is taken once every instance is built and started: set-up
+  // time is neither serving time nor a reason to release arrivals early.
+  runtime::MonotonicClock clock;
+  for (auto& inst : fleet) inst->loop->AttachWallClock(&clock);
+  // Routed by the feeder thread only, until the join below.
+  fleet_internal::ArrivalRouting routing(router_, config_, n, &clock);
+  for (int32_t i = 0; i < n; ++i) routing.AddInstance();
+  routing.SetLive(std::vector<uint8_t>(static_cast<size_t>(n), 1));
+  const std::vector<int32_t>& instance_cell = routing.instance_cell();
+  // Sized so worker event pushes can always complete while the controller
+  // is momentarily blocked handing a shed request to a full arrival queue
+  // (every request finishes exactly once; sheds are drained continuously).
+  runtime::BoundedQueue<AsyncEvent> events(2 * trace.size() + 256);
+
   std::atomic<bool> abort{false};
   std::atomic<int64_t> routed{0};
-  std::atomic<int64_t> rejected{0};
-  std::atomic<int64_t> deprioritized{0};
   std::atomic<bool> feeder_done{false};
 
   const auto close_all = [&] {
@@ -135,7 +126,8 @@ StatusOr<AsyncServingResult> RunAsyncFleet(
       const double base = std::max(cmd.migrated.available_at, loop.now());
       const auto delay = [&](const MigrationImport& import) {
         return migration_cost_model != nullptr
-                   ? migration_cost_model->MigrationSeconds(import.bytes)
+                   ? migration_cost_model->MigrationSeconds(import.bytes,
+                                                            cmd.cross_cell)
                    : 0.0;
       };
       return loop.Receive(std::move(cmd.migrated), base, delay).status();
@@ -155,7 +147,7 @@ StatusOr<AsyncServingResult> RunAsyncFleet(
 
       // 2. Fuse the timelines and run one iteration.
       loop.SyncClock(clock.Now() * async.replay_speedup);
-      if (loop.iterations() >= loop_config.max_iterations) {
+      if (loop.iterations() >= config_.loop.max_iterations) {
         fail(Status::Internal("async serving loop hit the iteration cap"));
         return;
       }
@@ -207,8 +199,7 @@ StatusOr<AsyncServingResult> RunAsyncFleet(
       // 5. Park while drained: block on the arrival queue instead of
       // spinning, and exit once the fabric is closed and empty.
       if (*progress == ServingLoopState::Progress::kDrained && !applied_any) {
-        auto cmd = self.arrivals->PopFor(std::chrono::nanoseconds(
-            static_cast<int64_t>(async.idle_poll_s * 1e9)));
+        auto cmd = self.arrivals->PopFor(kIdlePoll);
         if (cmd.has_value()) {
           if (Status s = apply(std::move(*cmd)); !s.ok()) {
             fail(std::move(s));
@@ -225,17 +216,10 @@ StatusOr<AsyncServingResult> RunAsyncFleet(
   };
 
   // ---- Feeder: real-time trace replay through the router -------------------
-  // Incremental RouteOne in arrival order over the all-live static fleet is
-  // bit-identical to the virtual mode's routing pass, so each request goes
-  // to the same instance in both modes — the routing half of the
-  // determinism contract.
+  // Arrival-order routing over the all-live static fleet (cells included)
+  // is the virtual mode's routing pass, so each request goes to the same
+  // instance in both modes — the routing half of the determinism contract.
   const auto feeder_main = [&] {
-    RouterState rstate = router.MakeState(n);
-    if (async.trace != nullptr) {
-      router.AttachTrace(&rstate, async.trace->MakeSink(obs::kRouterTrack),
-                         &clock);
-    }
-    const std::vector<uint8_t> live(static_cast<size_t>(n), 1);
     for (size_t idx = 0; idx < trace.size(); ++idx) {
       if (abort.load(std::memory_order_acquire)) break;
       const Request& req = trace[idx];
@@ -246,20 +230,10 @@ StatusOr<AsyncServingResult> RunAsyncFleet(
         std::this_thread::sleep_for(
             std::chrono::duration<double>(std::min(lag, 0.001)));
       }
-      bool best_effort = false;
-      const int32_t inst =
-          router.RouteOne(req, idx, live, &rstate, &best_effort);
-      if (inst == RouteDecision::kRejected) {
-        rejected.fetch_add(1, std::memory_order_acq_rel);
-        continue;
-      }
       AsyncCommand cmd;
       cmd.kind = AsyncCommand::Kind::kInject;
-      cmd.request = req;
-      if (best_effort) {
-        cmd.request.best_effort = true;
-        deprioritized.fetch_add(1, std::memory_order_acq_rel);
-      }
+      const int32_t inst = routing.Route(req, idx, &cmd.request);
+      if (inst == RouteDecision::kRejected) continue;
       cmd.wall_arrival = clock.Now();
       routed.fetch_add(1, std::memory_order_acq_rel);
       // Blocking push: a full queue is backpressure, not an error. False
@@ -316,6 +290,7 @@ StatusOr<AsyncServingResult> RunAsyncFleet(
       AsyncCommand cmd;
       cmd.kind = AsyncCommand::Kind::kReceive;
       cmd.migrated = std::move(ev->migrated);
+      cmd.cross_cell = instance_cell[ev->instance] != instance_cell[dst];
       ++shed_migrations;
       ++sheds_per_instance[ev->instance];
       // Blocking push is deadlock-free: the destination worker drains its
@@ -336,84 +311,31 @@ StatusOr<AsyncServingResult> RunAsyncFleet(
 
   // ---- Finalize (single-threaded again): assemble the fleet result ---------
   AsyncServingResult out;
-  MultiInstanceResult& result = out.serve;
-  result.per_instance.resize(n);
-  result.requests_per_instance.assign(n, 0);
-  result.prefill_computed_per_instance.assign(n, 0);
-  result.prefill_skipped_per_instance.assign(n, 0);
-  result.prefix_per_instance.resize(n);
-  result.rejected_requests = rejected.load();
-  result.deprioritized_requests = deprioritized.load();
   out.arrival_queue_high_water_per_instance.assign(n, 0);
   out.sheds_per_instance = sheds_per_instance;
-  WallClockMetrics wall;
+  std::vector<ServingLoopState*> loops;
   for (int32_t i = 0; i < n; ++i) {
     AsyncInstance& inst = *fleet[i];
+    loops.push_back(inst.loop.get());
     out.arrival_queue_high_water_per_instance[i] = inst.arrivals->high_water();
     out.arrival_queue_high_water =
         std::max(out.arrival_queue_high_water, inst.arrivals->high_water());
-    if (async.metrics != nullptr) {
+    if (config_.metrics != nullptr) {
       const std::string label = "instance=\"" + std::to_string(i) + "\"";
-      async.metrics
+      config_.metrics
           ->GetGauge("aptserve_async_arrival_queue_high_water", label)
           ->SetMax(static_cast<double>(inst.arrivals->high_water()));
-      async.metrics->GetCounter("aptserve_async_sheds_total", label)
+      config_.metrics->GetCounter("aptserve_async_sheds_total", label)
           ->Inc(sheds_per_instance[i]);
     }
-    if (inst.loop->NumRegistered() == 0) continue;
-    APT_ASSIGN_OR_RETURN(ServingLoopResult r, inst.loop->Finish());
-    result.per_instance[i] = r.report;
-    result.requests_per_instance[i] = static_cast<int32_t>(r.records.size());
-    result.prefill_computed_per_instance[i] = r.prefill_tokens_computed;
-    result.prefill_skipped_per_instance[i] = r.prefill_tokens_skipped;
-    result.prefix_per_instance[i] = r.prefix;
-    result.prefill_tokens_computed += r.prefill_tokens_computed;
-    result.prefill_tokens_skipped += r.prefill_tokens_skipped;
-    result.tokens_generated += r.tokens_generated;
-    AddPrefixStats(r.prefix, &result.prefix);
-    wall.Merge(r.wall_metrics);
   }
-  result.combined =
-      MergeReports(result.per_instance, result.requests_per_instance);
-  FoldRejectedIntoReport(result.rejected_requests, &result.combined);
+  WallClockMetrics wall;
+  APT_ASSIGN_OR_RETURN(out.serve, fleet_internal::AssembleResult(
+                                      loops, routing, config_.metrics, &wall));
   out.wall = wall.Report();
   out.wall_duration_s = wall_end;
   out.shed_migrations = shed_migrations;
   return out;
-}
-
-StatusOr<AsyncServingResult> FleetController::RunAsync(
-    const std::vector<Request>& trace, const SchedulerFactory& make_scheduler,
-    const BackendFactory& make_backend, const SloSpec& slo,
-    const AsyncServingConfig& async) {
-  if (config_.IsElastic()) {
-    return Status::InvalidArgument(
-        "async serving runs a static fleet: scaling rules and planner "
-        "migration are virtual-time features (queue shedding is the async "
-        "mode's live motion)");
-  }
-  if (config_.cells.num_cells > 1) {
-    return Status::InvalidArgument(
-        "async serving does not support hierarchical (num_cells > 1) "
-        "fleets yet: the cell front tier runs on the virtual-time routing "
-        "path");
-  }
-  return RunAsyncFleet(trace, router_, config_.loop, async, make_scheduler,
-                       make_backend, slo, migration_cost_model_);
-}
-
-StatusOr<AsyncServingResult> MultiInstanceRunner::RunAsync(
-    const std::vector<Request>& trace, const SchedulerFactory& make_scheduler,
-    const BackendFactory& make_backend, const SloSpec& slo,
-    const AsyncServingConfig& async) {
-  if (cells_.num_cells > 1) {
-    return Status::InvalidArgument(
-        "async serving does not support hierarchical (num_cells > 1) "
-        "fleets yet: the cell front tier runs on the virtual-time routing "
-        "path");
-  }
-  return RunAsyncFleet(trace, router_, loop_, async, make_scheduler,
-                       make_backend, slo, router_.cost_model());
 }
 
 }  // namespace aptserve

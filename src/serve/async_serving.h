@@ -8,8 +8,9 @@
 // from a bounded MPSC arrival queue and admitting them mid-run through the
 // Inject seam — no barrier anywhere on the hot path. A feeder thread
 // replays the trace in real time (scaled by `replay_speedup`), routing
-// each request at its wall release instant with the same incremental
-// Router::RouteOne the virtual static fleet uses, in the same arrival
+// each request at its wall release instant through the same routing code
+// as the virtual static fleet (Router::RouteOne, or the CellRouter front
+// tier plus RouteOneLive when cells.num_cells > 1), in the same arrival
 // order — so routing decisions are bit-identical across modes. Completions
 // and queue-shedding migrations flow back to the controller over the same
 // bounded-queue fabric (an MPSC event queue), and cache-carrying
@@ -27,9 +28,18 @@
 // enforces it across seeds, thread counts, and sampling modes.
 //
 // Wall-clock TTFT/TBT are measured for real against a monotonic Clock
-// (runtime/clock.h) threaded through the serving loops' wall seam; the
-// result carries log-bucketed latency histograms (p50/p95/p99) and
+// (runtime/clock.h) threaded through the serving loops' wall seam. The
+// clock starts once every instance is built and started, so instance
+// set-up counts toward neither latency nor the wall-time valve. The result
+// carries log-bucketed latency histograms (p50/p95/p99) and
 // sustained-throughput readouts next to the usual virtual-frame report.
+//
+// Observability comes from FleetConfig::trace / FleetConfig::metrics, as in
+// the virtual mode: workers emit lifecycle events on per-instance tracks
+// (wall-clock frame), the feeder routes through a traced router state
+// stamped by the replay clock, and sheds carry flow arrows to their
+// re-route. The registry also gains per-instance arrival-queue high-water
+// gauges and shed counters.
 #pragma once
 
 #include <cstdint>
@@ -44,10 +54,11 @@
 
 namespace aptserve {
 
+/// Per-instance arrival queue capacity: the feeder's Push blocks when an
+/// instance is this far behind (backpressure instead of unbounded RAM).
+inline constexpr size_t kAsyncArrivalQueueCapacity = 256;
+
 struct AsyncServingConfig {
-  /// Per-instance arrival queue capacity; the feeder's Push blocks when an
-  /// instance is this far behind (backpressure instead of unbounded RAM).
-  size_t queue_capacity = 256;
   /// Trace replay acceleration: a request with virtual arrival t is
   /// released to the router at wall time t / replay_speedup after start.
   /// 1.0 replays in real time; large values stress continuous batching.
@@ -57,22 +68,8 @@ struct AsyncServingConfig {
   /// currently coolest instance over the queue fabric — live load shedding
   /// on the wall-clock path.
   int32_t shed_queue_depth = 0;
-  /// How long an idle (drained) worker blocks on its arrival queue before
-  /// re-checking for shutdown, in wall seconds.
-  double idle_poll_s = 0.0005;
   /// Safety valve: abort when the run exceeds this much wall time.
   double max_wall_seconds = 300.0;
-
-  // ---- Observability -------------------------------------------------------
-  /// Optional, borrowed. Workers emit lifecycle events on per-instance
-  /// tracks (wall-clock frame), the feeder routes through a traced router
-  /// state stamped by the replay clock, and sheds carry flow arrows to
-  /// their re-route. Purely observational: token streams are bit-identical
-  /// with or without a recorder attached.
-  obs::TraceRecorder* trace = nullptr;
-  /// Optional, borrowed. Gains per-instance arrival-queue high-water
-  /// gauges and shed counters on top of the serving-loop metrics.
-  obs::MetricsRegistry* metrics = nullptr;
 };
 
 struct AsyncServingResult {
@@ -83,7 +80,8 @@ struct AsyncServingResult {
   /// against the monotonic clock; per-request history survives shedding
   /// migrations).
   WallLatencyReport wall;
-  /// Wall seconds from the first request release to full drain.
+  /// Wall seconds from the clock's start (after instance set-up) to full
+  /// drain.
   double wall_duration_s = 0.0;
   /// Shedding migrations executed over the queue fabric.
   int64_t shed_migrations = 0;
@@ -94,16 +92,5 @@ struct AsyncServingResult {
   /// Shed migrations originating from each instance.
   std::vector<int64_t> sheds_per_instance;
 };
-
-/// Serves `trace` on a static fleet of router.config().n_instances
-/// continuously-batching worker threads. Blocks until the last request
-/// drains (or the first error). `migration_cost_model` prices the virtual
-/// availability delay of shed requests (null = instantaneous, wall cost is
-/// real either way).
-StatusOr<AsyncServingResult> RunAsyncFleet(
-    const std::vector<Request>& trace, const Router& router,
-    const ServingLoopConfig& loop_config, const AsyncServingConfig& async,
-    const SchedulerFactory& make_scheduler, const BackendFactory& make_backend,
-    const SloSpec& slo, const CostModel* migration_cost_model = nullptr);
 
 }  // namespace aptserve

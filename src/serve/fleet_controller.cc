@@ -6,32 +6,195 @@
 
 #include "common/logging.h"
 #include "runtime/thread_pool.h"
+#include "serve/fleet_internal.h"
 
 namespace aptserve {
 
-namespace {
+namespace fleet_internal {
 
-void AddPrefixStats(const PrefixStats& from, PrefixStats* into) {
-  into->lookups += from.lookups;
-  into->hits += from.hits;
-  into->matched_tokens += from.matched_tokens;
-  into->shared_blocks += from.shared_blocks;
-  into->cow_matches += from.cow_matches;
-  into->inserted_blocks += from.inserted_blocks;
-  into->evicted_blocks += from.evicted_blocks;
+Status StartInstance(const FleetConfig& config, int32_t id,
+                     const SchedulerFactory& make_scheduler,
+                     const BackendFactory& make_backend, const SloSpec& slo,
+                     InstanceStack* out) {
+  out->scheduler = make_scheduler();
+  APT_ASSIGN_OR_RETURN(out->backend, make_backend(id));
+  out->loop = std::make_unique<ServingLoopState>(out->backend.get(),
+                                                 config.loop);
+  if (config.trace != nullptr || config.metrics != nullptr) {
+    out->loop->AttachObservability(config.trace != nullptr
+                                       ? config.trace->MakeSink(id)
+                                       : obs::TraceSink(),
+                                   config.metrics, id);
+  }
+  return out->loop->Start({}, out->scheduler.get(), slo);
 }
 
+ArrivalRouting::ArrivalRouting(const Router& router, const FleetConfig& config,
+                               int32_t capacity, const runtime::Clock* clock)
+    : router_(router),
+      state_(router.MakeState(capacity)),
+      hierarchical_(config.cells.num_cells > 1),
+      cells_(config.cells, router.config().block_size),
+      alive_per_cell_(config.cells.num_cells, 0),
+      cell_live_ids_(config.cells.num_cells) {
+  // Observability is opt-in and purely observational: without a recorder
+  // no sink exists and every routing hook is a no-op.
+  if (config.trace == nullptr) return;
+  router_.AttachTrace(&state_, config.trace->MakeSink(obs::kRouterTrack),
+                      clock);
+  if (hierarchical_) {
+    for (int32_t c = 0; c < config.cells.num_cells; ++c) {
+      cell_trace_.push_back(config.trace->MakeSink(obs::kCellTrackBase - c));
+    }
+  }
+}
+
+void ArrivalRouting::AddInstance() {
+  int32_t cell = 0;
+  for (int32_t c = 1; c < static_cast<int32_t>(alive_per_cell_.size()); ++c) {
+    if (alive_per_cell_[c] < alive_per_cell_[cell]) cell = c;
+  }
+  instance_cell_.push_back(cell);
+  ++alive_per_cell_[cell];
+  // Ids are lifetime-unique (a retired id is never reused), so over many
+  // scale cycles the id space outgrows the alive ceiling; the router state
+  // grows with it.
+  router_.GrowState(&state_, static_cast<int32_t>(instance_cell_.size()));
+}
+
+void ArrivalRouting::SetLive(const std::vector<uint8_t>& live) {
+  live_mask_.assign(state_.capacity(), 0);
+  std::copy(live.begin(), live.end(), live_mask_.begin());
+  if (!hierarchical_) return;
+  // Per-cell live member lists (constant until the next SetLive, like the
+  // mask): RouteOneLive scans only the chosen cell's members, which is what
+  // keeps the per-decision cost independent of fleet width.
+  for (auto& ids : cell_live_ids_) ids.clear();
+  for (size_t i = 0; i < live.size(); ++i) {
+    if (live[i]) {
+      cell_live_ids_[instance_cell_[i]].push_back(static_cast<int32_t>(i));
+    }
+  }
+  for (size_t c = 0; c < cell_live_ids_.size(); ++c) {
+    cells_.SetLive(static_cast<int32_t>(c), !cell_live_ids_[c].empty());
+  }
+}
+
+int32_t ArrivalRouting::Route(const Request& req, size_t index,
+                              Request* routed) {
+  bool best_effort = false;
+  int32_t cell = 0;
+  int32_t inst;
+  if (hierarchical_) {
+    cell = cells_.RouteOne(req, req.arrival);
+    inst = router_.RouteOneLive(req, index, cell_live_ids_[cell], &state_,
+                                &best_effort);
+  } else {
+    inst = router_.RouteOne(req, index, live_mask_, &state_, &best_effort);
+  }
+  if (inst == RouteDecision::kRejected) {
+    ++rejected_;
+    return inst;
+  }
+  if (hierarchical_) {
+    if (!cell_trace_.empty()) {
+      // Pre-commit, so the span/score read the wait this request actually
+      // saw, not one inflated by its own service time.
+      const double wait = cells_.Outstanding(cell, req.arrival);
+      cell_trace_[cell].Span(obs::TraceOp::kQueueWait, req.arrival, wait,
+                             req.id, static_cast<double>(inst));
+      cell_trace_[cell].Instant(obs::TraceOp::kRouteDecision, req.arrival,
+                                req.id, static_cast<double>(inst), wait,
+                                static_cast<double>(cell));
+    }
+    cells_.Commit(cell, req.arrival, router_.EstimatedServiceSeconds(req),
+                  static_cast<int32_t>(cell_live_ids_[cell].size()));
+  }
+  *routed = req;
+  if (best_effort) {
+    routed->best_effort = true;
+    ++deprioritized_;
+  }
+  return inst;
+}
+
+RouteCostStats ArrivalRouting::CostStats() const {
+  RouteCostStats out = state_.cost_stats();
+  if (hierarchical_) {
+    const CellRouteStats& cs = cells_.stats();
+    out.cell_probes += cs.cell_probes;
+    out.cell_hash_routed += cs.hash_routed;
+    out.cell_fallback_routed += cs.fallback_routed;
+  }
+  return out;
+}
+
+StatusOr<MultiInstanceResult> AssembleResult(
+    const std::vector<ServingLoopState*>& loops, const ArrivalRouting& routing,
+    obs::MetricsRegistry* metrics, WallClockMetrics* wall) {
+  const size_t n = loops.size();
+  MultiInstanceResult result;
+  result.per_instance.resize(n);
+  result.requests_per_instance.assign(n, 0);
+  result.prefill_computed_per_instance.assign(n, 0);
+  result.prefill_skipped_per_instance.assign(n, 0);
+  result.prefix_per_instance.resize(n);
+  result.rejected_requests = routing.rejected();
+  result.deprioritized_requests = routing.deprioritized();
+  for (size_t i = 0; i < n; ++i) {
+    if (loops[i]->NumRegistered() == 0) continue;
+    APT_ASSIGN_OR_RETURN(const ServingLoopResult r, loops[i]->Finish());
+    result.per_instance[i] = r.report;
+    result.requests_per_instance[i] = static_cast<int32_t>(r.records.size());
+    result.prefill_computed_per_instance[i] = r.prefill_tokens_computed;
+    result.prefill_skipped_per_instance[i] = r.prefill_tokens_skipped;
+    result.prefix_per_instance[i] = r.prefix;
+    result.prefill_tokens_computed += r.prefill_tokens_computed;
+    result.prefill_tokens_skipped += r.prefill_tokens_skipped;
+    result.tokens_generated += r.tokens_generated;
+    result.prefix += r.prefix;
+    if (wall != nullptr) wall->Merge(r.wall_metrics);
+  }
+  result.combined =
+      MergeReports(result.per_instance, result.requests_per_instance);
+  FoldRejectedIntoReport(result.rejected_requests, &result.combined);
+  result.route_cost = routing.CostStats();
+
+  if (metrics != nullptr) {
+    obs::MetricsRegistry& reg = *metrics;
+    const RouteCostStats& rc = result.route_cost;
+    reg.GetCounter("aptserve_router_decisions_total")->Inc(rc.decisions);
+    reg.GetCounter("aptserve_router_instance_probes_total")
+        ->Inc(rc.instance_probes);
+    reg.GetCounter("aptserve_router_mirror_nodes_walked_total")
+        ->Inc(rc.mirror_nodes_walked);
+    reg.GetCounter("aptserve_router_mirror_evictions_total")
+        ->Inc(rc.mirror_evictions);
+    reg.GetGauge("aptserve_router_mirror_nodes")
+        ->Set(static_cast<double>(rc.mirror_nodes));
+    reg.GetGauge("aptserve_router_mirror_node_peak")
+        ->Set(static_cast<double>(rc.mirror_node_peak));
+    reg.GetCounter("aptserve_cell_probes_total")->Inc(rc.cell_probes);
+    reg.GetCounter("aptserve_cell_hash_routed_total")
+        ->Inc(rc.cell_hash_routed);
+    reg.GetCounter("aptserve_cell_fallback_routed_total")
+        ->Inc(rc.cell_fallback_routed);
+  }
+  return result;
+}
+
+}  // namespace fleet_internal
+
+namespace {
+
 /// One serving instance of the elastic fleet.
-struct Instance {
+struct Instance : fleet_internal::InstanceStack {
   enum class State { kWarming, kLive, kDraining, kRetired };
   State state = State::kLive;
   int32_t id = 0;
   double add_time = 0.0;
   double live_at = 0.0;
   double retire_time = -1.0;
-  std::unique_ptr<Scheduler> scheduler;
-  std::unique_ptr<ExecutionBackend> backend;
-  std::unique_ptr<ServingLoopState> loop;
   Status status = Status::OK();
 
   bool Alive() const { return state != State::kRetired; }
@@ -41,13 +204,9 @@ struct Instance {
 }  // namespace
 
 FleetController::FleetController(const FleetConfig& config,
-                                 const Router& router,
-                                 const CostModel* migration_cost_model)
-    : config_(config),
-      router_(router),
-      migration_cost_model_(migration_cost_model != nullptr
-                                ? migration_cost_model
-                                : router.cost_model()) {
+                                 const CostModel* cost_model,
+                                 const OutputLengthPredictor* predictor)
+    : config_(config), router_(config.router, cost_model, predictor) {
   APT_CHECK(router_.config().n_instances >= 1);
   APT_CHECK(config_.min_instances >= 1);
   APT_CHECK(config_.cells.num_cells >= 1);
@@ -60,12 +219,6 @@ FleetController::FleetController(const FleetConfig& config,
   APT_CHECK(config_.scale_down_cooldown_s >= 0.0);
 }
 
-FleetController::FleetController(const FleetConfig& config,
-                                 const CostModel* cost_model,
-                                 const OutputLengthPredictor* predictor)
-    : FleetController(config, Router(config.router, cost_model, predictor),
-                      cost_model) {}
-
 StatusOr<FleetResult> FleetController::Run(
     const std::vector<Request>& trace, const SchedulerFactory& make_scheduler,
     const BackendFactory& make_backend, const SloSpec& slo) {
@@ -75,35 +228,23 @@ StatusOr<FleetResult> FleetController::Run(
 
   FleetResult out;
   FleetMetrics& fm = out.fleet;
-  RouterState rstate = router_.MakeState(max_n);
   std::vector<std::unique_ptr<Instance>> fleet;
   fleet.reserve(max_n);
-
-  // Hierarchical (fleet-of-fleets) topology: the consistent-hash front
-  // tier picks a cell, the configured policy routes within it. num_cells
-  // == 1 takes the flat path untouched (bit-identical to pre-cell runs).
-  const int32_t num_cells = config_.cells.num_cells;
-  const bool hierarchical = num_cells > 1;
-  CellRouter cell_router(config_.cells, router_.config().block_size);
-  fm.num_cells = num_cells;
-  std::vector<int32_t> alive_per_cell(num_cells, 0);
-  std::vector<std::vector<int32_t>> cell_live_ids(num_cells);
 
   // Observability is opt-in and purely observational: with config_.trace /
   // config_.metrics null every hook below is a no-op and the run is
   // bit-identical to an uninstrumented build.
   obs::TraceSink ctl_trace;
-  std::vector<obs::TraceSink> cell_trace;
   if (config_.trace != nullptr) {
     ctl_trace = config_.trace->MakeSink(obs::kControllerTrack);
-    router_.AttachTrace(&rstate, config_.trace->MakeSink(obs::kRouterTrack));
-    if (hierarchical) {
-      cell_trace.reserve(num_cells);
-      for (int32_t c = 0; c < num_cells; ++c) {
-        cell_trace.push_back(config_.trace->MakeSink(obs::kCellTrackBase - c));
-      }
-    }
   }
+  // Hierarchical (fleet-of-fleets) topology: the consistent-hash front
+  // tier picks a cell, the configured policy routes within it. num_cells
+  // == 1 takes the flat path untouched (bit-identical to pre-cell runs).
+  fleet_internal::ArrivalRouting routing(router_, config_, max_n,
+                                         /*clock=*/nullptr);
+  const std::vector<int32_t>& instance_cell = routing.instance_cell();
+  fm.num_cells = config_.cells.num_cells;
 
   const auto record_event = [&](double t, int32_t id,
                                 FleetScaleEvent::Kind kind) {
@@ -114,36 +255,17 @@ StatusOr<FleetResult> FleetController::Run(
     }
   };
 
-  // Spawns instance fleet.size() at virtual time `t`. A cold spawn only
-  // becomes routable after the warmup latency elapses; the initial fleet
-  // is born warm (it existed before the trace started).
+  // Spawns instance fleet.size() at virtual time `t` in the least-populated
+  // cell (later spawns refill whichever cell lost an instance). A cold
+  // spawn only becomes routable after the warmup latency elapses; the
+  // initial fleet is born warm (it existed before the trace started).
   const auto spawn = [&](double t, bool cold) -> Status {
-    // Ids are lifetime-unique (a retired id is never reused), so over many
-    // scale cycles the id space outgrows the alive ceiling; the router
-    // state grows with it.
     const int32_t id = static_cast<int32_t>(fleet.size());
     auto inst = std::make_unique<Instance>();
     inst->id = id;
-    // Cell assignment: the least-populated (alive) cell, tie to the lowest
-    // cell id — the initial fleet round-robins across cells and later
-    // spawns refill whichever cell lost an instance.
-    int32_t cell = 0;
-    for (int32_t c = 1; c < num_cells; ++c) {
-      if (alive_per_cell[c] < alive_per_cell[cell]) cell = c;
-    }
-    fm.instance_cell.push_back(cell);
-    ++alive_per_cell[cell];
-    inst->scheduler = make_scheduler();
-    APT_ASSIGN_OR_RETURN(inst->backend, make_backend(id));
-    inst->loop =
-        std::make_unique<ServingLoopState>(inst->backend.get(), config_.loop);
-    if (config_.trace != nullptr || config_.metrics != nullptr) {
-      inst->loop->AttachObservability(
-          config_.trace != nullptr ? config_.trace->MakeSink(id)
-                                   : obs::TraceSink(),
-          config_.metrics, id);
-    }
-    APT_RETURN_NOT_OK(inst->loop->Start({}, inst->scheduler.get(), slo));
+    routing.AddInstance();
+    APT_RETURN_NOT_OK(fleet_internal::StartInstance(
+        config_, id, make_scheduler, make_backend, slo, inst.get()));
     inst->add_time = t;
     inst->live_at = cold ? t + config_.instance_warmup_s : t;
     inst->state = cold ? Instance::State::kWarming : Instance::State::kLive;
@@ -154,7 +276,6 @@ StatusOr<FleetResult> FleetController::Run(
       record_event(t, id, FleetScaleEvent::Kind::kLive);
     }
     fleet.push_back(std::move(inst));
-    router_.GrowState(&rstate, static_cast<int32_t>(fleet.size()));
     return Status::OK();
   };
 
@@ -172,13 +293,11 @@ StatusOr<FleetResult> FleetController::Run(
     const double base = std::max(t, m.available_at);
     // A transfer that leaves the source's cell rides the slower cross-cell
     // interconnect tier (racks/pods), not the intra-cell fabric.
-    const bool cross_cell =
-        fm.instance_cell[src.id] != fm.instance_cell[dst.id];
+    const bool cross_cell = instance_cell[src.id] != instance_cell[dst.id];
+    const CostModel* cm = router_.cost_model();
     const auto delay = [&](const MigrationImport& import) {
-      return migration_cost_model_ != nullptr
-                 ? migration_cost_model_->MigrationSeconds(import.bytes,
-                                                           cross_cell)
-                 : 0.0;
+      return cm != nullptr ? cm->MigrationSeconds(import.bytes, cross_cell)
+                           : 0.0;
     };
     APT_ASSIGN_OR_RETURN(const MigrationImport import,
                          dst.loop->Receive(std::move(m), base, delay));
@@ -209,7 +328,7 @@ StatusOr<FleetResult> FleetController::Run(
           inst->loop->NumWaiting() < best_any->loop->NumWaiting()) {
         best_any = inst.get();
       }
-      if (fm.instance_cell[inst->id] == preferred_cell &&
+      if (instance_cell[inst->id] == preferred_cell &&
           (best_same == nullptr ||
            inst->loop->NumWaiting() < best_same->loop->NumWaiting())) {
         best_same = inst.get();
@@ -326,7 +445,7 @@ StatusOr<FleetResult> FleetController::Run(
         for (RequestId id : src->loop->MigratableWaiting()) {
           if (moved >= config_.max_migrations_per_tick) break;
           Instance* dst =
-              pick_coolest(src.get(), fm.instance_cell[src->id]);
+              pick_coolest(src.get(), instance_cell[src->id]);
           if (dst == nullptr) break;
           APT_RETURN_NOT_OK(migrate(*src, *dst, id, t));
           ++moved;
@@ -372,7 +491,7 @@ StatusOr<FleetResult> FleetController::Run(
         record_event(t, static_cast<int32_t>(i),
                      FleetScaleEvent::Kind::kRetire);
         --alive;
-        --alive_per_cell[fm.instance_cell[i]];
+        routing.RetireInstance(static_cast<int32_t>(i));
       }
     }
 
@@ -412,9 +531,7 @@ StatusOr<FleetResult> FleetController::Run(
   };
 
   size_t next_route = 0;
-  int64_t total_rejected = 0;
-  int64_t total_deprioritized = 0;
-  std::vector<uint8_t> live_mask;
+  std::vector<uint8_t> live;
   double window_start = 0.0;
 
   while (true) {
@@ -426,64 +543,18 @@ StatusOr<FleetResult> FleetController::Run(
     // Route every arrival of this window against the live set (constant
     // within the window — scale events only happen at ticks).
     if (next_route < trace.size()) {
-      live_mask.assign(rstate.capacity(), 0);
+      live.assign(fleet.size(), 0);
       for (size_t i = 0; i < fleet.size(); ++i) {
-        live_mask[i] = fleet[i]->Routable() ? 1 : 0;
+        live[i] = fleet[i]->Routable() ? 1 : 0;
       }
-      if (hierarchical) {
-        // Per-cell live member lists (constant within the window, like the
-        // mask): RouteOneLive scans only the chosen cell's members, which
-        // is what keeps the per-decision cost independent of fleet width.
-        for (auto& ids : cell_live_ids) ids.clear();
-        for (size_t i = 0; i < fleet.size(); ++i) {
-          if (live_mask[i]) {
-            cell_live_ids[fm.instance_cell[i]].push_back(
-                static_cast<int32_t>(i));
-          }
-        }
-        for (int32_t c = 0; c < num_cells; ++c) {
-          cell_router.SetLive(c, !cell_live_ids[c].empty());
-        }
-      }
+      routing.SetLive(live);
     }
+    Request routed;
     while (next_route < trace.size() &&
            trace[next_route].arrival < window_end) {
-      const Request& req = trace[next_route];
-      bool best_effort = false;
-      int32_t cell = 0;
-      int32_t inst;
-      if (hierarchical) {
-        cell = cell_router.RouteOne(req, req.arrival);
-        inst = router_.RouteOneLive(req, next_route, cell_live_ids[cell],
-                                    &rstate, &best_effort);
-      } else {
-        inst = router_.RouteOne(req, next_route, live_mask, &rstate,
-                                &best_effort);
-      }
-      if (inst == RouteDecision::kRejected) {
-        ++total_rejected;
-      } else {
-        if (hierarchical) {
-          if (!cell_trace.empty()) {
-            // Pre-commit, so the span/score read the wait this request
-            // actually saw, not one inflated by its own service time.
-            const double wait = cell_router.Outstanding(cell, req.arrival);
-            cell_trace[cell].Span(obs::TraceOp::kQueueWait, req.arrival,
-                                  wait, req.id, static_cast<double>(inst));
-            cell_trace[cell].Instant(obs::TraceOp::kRouteDecision,
-                                     req.arrival, req.id,
-                                     static_cast<double>(inst), wait,
-                                     static_cast<double>(cell));
-          }
-          cell_router.Commit(
-              cell, req.arrival, router_.EstimatedServiceSeconds(req),
-              static_cast<int32_t>(cell_live_ids[cell].size()));
-        }
-        Request routed = req;
-        if (best_effort) {
-          routed.best_effort = true;
-          ++total_deprioritized;
-        }
+      const int32_t inst =
+          routing.Route(trace[next_route], next_route, &routed);
+      if (inst != RouteDecision::kRejected) {
         APT_RETURN_NOT_OK(fleet[inst]->loop->Inject(routed, routed.arrival));
       }
       ++next_route;
@@ -518,40 +589,21 @@ StatusOr<FleetResult> FleetController::Run(
     }
   }
 
-  // Finalize instances and assemble the fleet result.
-  MultiInstanceResult& result = out.serve;
-  const int32_t total_instances = static_cast<int32_t>(fleet.size());
-  result.per_instance.resize(total_instances);
-  result.requests_per_instance.assign(total_instances, 0);
-  result.prefill_computed_per_instance.assign(total_instances, 0);
-  result.prefill_skipped_per_instance.assign(total_instances, 0);
-  result.prefix_per_instance.resize(total_instances);
-  result.rejected_requests = total_rejected;
-  result.deprioritized_requests = total_deprioritized;
-
+  // Finalize instances and assemble the fleet result. An instance that
+  // never saw a request reports all zeros.
   double fleet_end = 0.0;
+  std::vector<ServingLoopState*> loops;
   for (const auto& inst : fleet) {
     fleet_end = std::max(fleet_end, inst->loop->now());
+    loops.push_back(inst->loop.get());
   }
-  for (int32_t i = 0; i < total_instances; ++i) {
-    Instance& inst = *fleet[i];
-    // An instance that never saw a request reports all-zeros, exactly like
-    // the classic runner's skipped empty shard.
-    if (inst.loop->NumRegistered() > 0) {
-      APT_ASSIGN_OR_RETURN(const ServingLoopResult r, inst.loop->Finish());
-      result.per_instance[i] = r.report;
-      result.requests_per_instance[i] =
-          static_cast<int32_t>(r.records.size());
-      result.prefill_computed_per_instance[i] = r.prefill_tokens_computed;
-      result.prefill_skipped_per_instance[i] = r.prefill_tokens_skipped;
-      result.prefix_per_instance[i] = r.prefix;
-      result.prefill_tokens_computed += r.prefill_tokens_computed;
-      result.prefill_tokens_skipped += r.prefill_tokens_skipped;
-      result.tokens_generated += r.tokens_generated;
-      AddPrefixStats(r.prefix, &result.prefix);
-    }
-    const double end = inst.retire_time >= 0 ? inst.retire_time : fleet_end;
-    fm.instance_seconds += std::max(0.0, end - inst.add_time);
+  APT_ASSIGN_OR_RETURN(out.serve, fleet_internal::AssembleResult(
+                                      loops, routing, config_.metrics));
+  fm.instance_cell = instance_cell;
+  const int32_t total_instances = static_cast<int32_t>(fleet.size());
+  for (const auto& inst : fleet) {
+    const double end = inst->retire_time >= 0 ? inst->retire_time : fleet_end;
+    fm.instance_seconds += std::max(0.0, end - inst->add_time);
   }
   if (elastic) {
     int32_t alive = 0;
@@ -564,37 +616,8 @@ StatusOr<FleetResult> FleetController::Run(
     fm.size_timeline.emplace_back(fleet_end, total_instances);
   }
 
-  result.combined =
-      MergeReports(result.per_instance, result.requests_per_instance);
-  FoldRejectedIntoReport(result.rejected_requests, &result.combined);
-
-  result.route_cost = rstate.cost_stats();
-  if (hierarchical) {
-    const CellRouteStats& cs = cell_router.stats();
-    result.route_cost.cell_probes += cs.cell_probes;
-    result.route_cost.cell_hash_routed += cs.hash_routed;
-    result.route_cost.cell_fallback_routed += cs.fallback_routed;
-  }
-
   if (config_.metrics != nullptr) {
     obs::MetricsRegistry& reg = *config_.metrics;
-    const RouteCostStats& rc = result.route_cost;
-    reg.GetCounter("aptserve_router_decisions_total")->Inc(rc.decisions);
-    reg.GetCounter("aptserve_router_instance_probes_total")
-        ->Inc(rc.instance_probes);
-    reg.GetCounter("aptserve_router_mirror_nodes_walked_total")
-        ->Inc(rc.mirror_nodes_walked);
-    reg.GetCounter("aptserve_router_mirror_evictions_total")
-        ->Inc(rc.mirror_evictions);
-    reg.GetGauge("aptserve_router_mirror_nodes")
-        ->Set(static_cast<double>(rc.mirror_nodes));
-    reg.GetGauge("aptserve_router_mirror_node_peak")
-        ->Set(static_cast<double>(rc.mirror_node_peak));
-    reg.GetCounter("aptserve_cell_probes_total")->Inc(rc.cell_probes);
-    reg.GetCounter("aptserve_cell_hash_routed_total")
-        ->Inc(rc.cell_hash_routed);
-    reg.GetCounter("aptserve_cell_fallback_routed_total")
-        ->Inc(rc.cell_fallback_routed);
     reg.GetCounter("aptserve_fleet_cross_cell_migrations_total")
         ->Inc(fm.cross_cell_migrations);
     reg.GetCounter("aptserve_fleet_migrations_total")->Inc(fm.migrations);

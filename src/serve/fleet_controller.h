@@ -1,8 +1,16 @@
-// FleetController: the event-driven multi-instance serving layer. One
-// virtual-time loop interleaves per-instance serving-loop epochs
-// (ServingLoopState::Step) with controller ticks; each tick evaluates
-// pluggable scaling policies to grow the fleet (cold start with a
-// configurable warmup latency) or drain-and-remove instances, and a
+// FleetController: the multi-instance serving layer (the paper's §8
+// future work) and the only fleet entry point. The fleet Router
+// (serve/router.h) admits each request against its SLO and assigns it to
+// one of N ServingLoop instances. The fleet is generic over
+// ExecutionBackend: the same policies shard the analytic simulator
+// (CostModelBackend) and the real engine (InferenceBackend), and because
+// routing is backend-independent, a trace produces the same shards (and
+// the same prefix-hit accounting) on both.
+//
+// Run is event-driven in virtual time. One loop interleaves per-instance
+// serving-loop epochs (ServingLoopState::Step) with controller ticks; each
+// tick evaluates pluggable scaling policies to grow the fleet (cold start
+// with a configurable warmup latency) or drain-and-remove instances, and a
 // migration planner that moves queued or preempted requests off hot or
 // draining instances *with their hybrid KV/hidden cache state*
 // (ServingLoopState::Extract/Receive over the backends'
@@ -11,19 +19,23 @@
 // interconnect transfer is priced by CostModel::MigrationSeconds).
 //
 // Requests are routed live, at arrival, against the currently-live
-// instance set (Router::RouteOne); scale events only happen at tick
-// boundaries, so routing within a tick window sees a constant fleet.
+// instance set; scale events only happen at tick boundaries, so routing
+// within a tick window sees a constant fleet.
 //
 // Determinism: ticks, routing, scaling, and migration all run serially at
 // window barriers; instances only execute their own independent epochs
 // between barriers (in parallel on the fleet thread pool when the runtime
-// allows). Results are therefore bit-identical at any thread count.
+// allows). Schedulers and backends are built serially in instance order
+// (factories may share state) and results merge in instance order, so
+// every decision and the merged report are bit-identical at any thread
+// count.
 //
 // The static fleet is the degenerate case: no scaling rules, no migration.
 // It runs as a single infinite window — route everything, run every
-// instance to completion — which is operation-for-operation the classic
-// MultiInstanceRunner (rebuilt on this controller and pinned by the router
-// parity and serving-loop parity suites).
+// instance to completion — pinned by the router parity and serving-loop
+// parity suites. RunAsync serves the same static fleet on the wall clock
+// (serve/async_serving.h) with Run's instance set-up, arrival routing and
+// result assembly (serve/fleet_internal.h).
 #pragma once
 
 #include <functional>
@@ -204,14 +216,9 @@ struct AsyncServingResult;
 
 class FleetController {
  public:
-  /// Routes through a copy of `router` (its config().n_instances is the
-  /// initial fleet size; config.router is ignored for routing).
-  /// `migration_cost_model` prices cache transfers; defaults to the
-  /// router's own cost model (instantaneous when neither exists).
-  FleetController(const FleetConfig& config, const Router& router,
-                  const CostModel* migration_cost_model = nullptr);
-
   /// Builds the Router from config.router with the given estimators.
+  /// `cost_model` also prices migration transfers (instantaneous when
+  /// null).
   explicit FleetController(const FleetConfig& config,
                            const CostModel* cost_model = nullptr,
                            const OutputLengthPredictor* predictor = nullptr);
@@ -231,9 +238,9 @@ class FleetController {
   /// router().config().n_instances continuously-batching worker threads
   /// with real-time arrival replay — see serve/async_serving.h for the
   /// architecture and determinism contract. Token streams are
-  /// bit-identical to Run() on a static fleet; only timing differs.
-  /// Rejects elastic configs (scaling rules / planner migration): the
-  /// async mode's only live motion is queue-depth shedding for now.
+  /// bit-identical to Run() on a static fleet, cells included; only timing
+  /// differs. Rejects elastic configs (scaling rules / planner migration):
+  /// the async mode's only live motion is queue-depth shedding for now.
   /// Defined in async_serving.cc.
   StatusOr<AsyncServingResult> RunAsync(const std::vector<Request>& trace,
                                         const SchedulerFactory& make_scheduler,
@@ -247,7 +254,6 @@ class FleetController {
  private:
   FleetConfig config_;
   Router router_;
-  const CostModel* migration_cost_model_;
 };
 
 /// Merges per-instance reports into a fleet-level report: attainment is

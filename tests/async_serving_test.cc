@@ -8,16 +8,19 @@
 // be bit-identical to the virtual run, because (a) per-position logits are
 // a pure function of the request's own tokens, (b) sampling is
 // counter-based per (seed, request, position), and (c) routing replays the
-// virtual assignment. The differential tests enforce exactly that, across
-// seeds (overridable via APTSERVE_FUZZ_SEEDS for the CI matrix), engine
-// thread counts, sampling modes, and live shedding migration.
+// virtual assignment, cells included. The differential tests enforce
+// exactly that, across seeds (overridable via APTSERVE_FUZZ_SEEDS for the CI
+// matrix), engine thread counts, sampling modes, live shedding migration and
+// a fleet of two cells.
 #include "serve/async_serving.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -26,10 +29,11 @@
 #include "common/rng.h"
 #include "engine/model_config.h"
 #include "engine/sampling.h"
+#include "obs/metrics_registry.h"
 #include "serve/fleet_controller.h"
 #include "serve/inference_backend.h"
-#include "serve/multi_instance.h"
 #include "workload/request.h"
+#include "workload/shared_prefix.h"
 
 namespace aptserve {
 namespace {
@@ -100,13 +104,22 @@ void ExpectSameTokens(const TokenMap& want, const TokenMap& got) {
   }
 }
 
-MultiInstanceRunner TwoInstanceRunner() {
-  RouterConfig router;
-  router.n_instances = 2;
-  router.policy = RoutePolicy::kRoundRobin;
-  ServingLoopConfig loop;
-  loop.max_batch_size = INT32_MAX;
-  return MultiInstanceRunner(Router(router), loop);
+FleetConfig StaticFleet(int32_t n = 2) {
+  FleetConfig config;
+  config.router.n_instances = n;
+  config.router.policy = RoutePolicy::kRoundRobin;
+  config.loop.max_batch_size = INT32_MAX;
+  return config;
+}
+
+void ExpectSameRouteCost(const RouteCostStats& want,
+                         const RouteCostStats& got) {
+  EXPECT_EQ(want.decisions, got.decisions);
+  EXPECT_EQ(want.instance_probes, got.instance_probes);
+  EXPECT_EQ(want.mirror_nodes_walked, got.mirror_nodes_walked);
+  EXPECT_EQ(want.cell_probes, got.cell_probes);
+  EXPECT_EQ(want.cell_hash_routed, got.cell_hash_routed);
+  EXPECT_EQ(want.cell_fallback_routed, got.cell_fallback_routed);
 }
 
 AsyncServingConfig FastReplay() {
@@ -121,18 +134,18 @@ AsyncServingConfig FastReplay() {
 TEST(AsyncServingTest, GreedyTokenStreamsMatchVirtualMode) {
   for (const uint64_t seed : FuzzSeeds()) {
     for (const int32_t threads : {1, 4}) {
-      MultiInstanceRunner runner = TwoInstanceRunner();
+      FleetController fleet(StaticFleet());
       const auto trace = TinyTrace(24, seed);
       const SamplingParams sampling = SamplingParams::Greedy();
 
       std::vector<TokenMap> virt_sinks(2);
-      auto virt = runner.Run(trace, Fcfs(),
-                             EngineFactory(&virt_sinks, seed, sampling, threads),
-                             SloSpec{5.0, 5.0});
+      auto virt = fleet.Run(trace, Fcfs(),
+                            EngineFactory(&virt_sinks, seed, sampling, threads),
+                            SloSpec{5.0, 5.0});
       ASSERT_TRUE(virt.ok()) << virt.status().ToString();
 
       std::vector<TokenMap> async_sinks(2);
-      auto live = runner.RunAsync(
+      auto live = fleet.RunAsync(
           trace, Fcfs(), EngineFactory(&async_sinks, seed, sampling, threads),
           SloSpec{5.0, 5.0}, FastReplay());
       ASSERT_TRUE(live.ok()) << live.status().ToString();
@@ -142,9 +155,13 @@ TEST(AsyncServingTest, GreedyTokenStreamsMatchVirtualMode) {
       ASSERT_EQ(want.size(), trace.size());
       ExpectSameTokens(want, got);
       // Routing replay: the same instances served the same request counts.
-      EXPECT_EQ(virt->requests_per_instance,
+      EXPECT_EQ(virt->serve.requests_per_instance,
                 live->serve.requests_per_instance)
           << "seed=" << seed << " threads=" << threads;
+      // The feeder's routing is accounted like the virtual run's.
+      ExpectSameRouteCost(virt->serve.route_cost, live->serve.route_cost);
+      EXPECT_EQ(live->serve.route_cost.decisions,
+                static_cast<int64_t>(trace.size()));
     }
   }
 }
@@ -153,20 +170,20 @@ TEST(AsyncServingTest, StochasticTokenStreamsMatchVirtualMode) {
   // Counter-based sampling makes stochastic streams a pure function of
   // (seed, request, position) — invariant to wall-clock batch composition.
   const uint64_t seed = FuzzSeeds().front();
-  MultiInstanceRunner runner = TwoInstanceRunner();
+  FleetController fleet(StaticFleet());
   const auto trace = TinyTrace(20, seed + 1);
   const SamplingParams sampling = SamplingParams::TopK(8, 0.9);
 
   std::vector<TokenMap> virt_sinks(2);
-  auto virt = runner.Run(trace, Fcfs(),
-                         EngineFactory(&virt_sinks, seed, sampling, 1),
-                         SloSpec{5.0, 5.0});
+  auto virt = fleet.Run(trace, Fcfs(),
+                        EngineFactory(&virt_sinks, seed, sampling, 1),
+                        SloSpec{5.0, 5.0});
   ASSERT_TRUE(virt.ok()) << virt.status().ToString();
 
   std::vector<TokenMap> async_sinks(2);
-  auto live =
-      runner.RunAsync(trace, Fcfs(), EngineFactory(&async_sinks, seed, sampling, 1),
-                      SloSpec{5.0, 5.0}, FastReplay());
+  auto live = fleet.RunAsync(
+      trace, Fcfs(), EngineFactory(&async_sinks, seed, sampling, 1),
+      SloSpec{5.0, 5.0}, FastReplay());
   ASSERT_TRUE(live.ok()) << live.status().ToString();
 
   ExpectSameTokens(Flatten(std::move(virt_sinks)),
@@ -179,22 +196,22 @@ TEST(AsyncServingTest, SheddingMigrationPreservesTokensAndCountsRequests) {
   // finishes exactly once somewhere; purity: token streams still match the
   // (shed-free) virtual reference bit-for-bit.
   const uint64_t seed = FuzzSeeds().front();
-  MultiInstanceRunner runner = TwoInstanceRunner();
+  FleetController fleet(StaticFleet());
   const auto trace = TinyTrace(24, seed + 2);
   const SamplingParams sampling = SamplingParams::Greedy();
 
   std::vector<TokenMap> virt_sinks(2);
-  auto virt = runner.Run(trace, Fcfs(),
-                         EngineFactory(&virt_sinks, seed, sampling, 1),
-                         SloSpec{5.0, 5.0});
+  auto virt = fleet.Run(trace, Fcfs(),
+                        EngineFactory(&virt_sinks, seed, sampling, 1),
+                        SloSpec{5.0, 5.0});
   ASSERT_TRUE(virt.ok()) << virt.status().ToString();
 
   AsyncServingConfig async = FastReplay();
   async.shed_queue_depth = 1;  // shed on any queue depth over one
   std::vector<TokenMap> async_sinks(2);
-  auto live =
-      runner.RunAsync(trace, Fcfs(), EngineFactory(&async_sinks, seed, sampling, 1),
-                      SloSpec{5.0, 5.0}, async);
+  auto live = fleet.RunAsync(
+      trace, Fcfs(), EngineFactory(&async_sinks, seed, sampling, 1),
+      SloSpec{5.0, 5.0}, async);
   ASSERT_TRUE(live.ok()) << live.status().ToString();
 
   int32_t total = 0;
@@ -207,11 +224,11 @@ TEST(AsyncServingTest, SheddingMigrationPreservesTokensAndCountsRequests) {
 
 TEST(AsyncServingTest, WallMetricsAreInternallyConsistent) {
   const uint64_t seed = FuzzSeeds().front();
-  MultiInstanceRunner runner = TwoInstanceRunner();
+  FleetController fleet(StaticFleet());
   const auto trace = TinyTrace(16, seed + 3);
 
   std::vector<TokenMap> sinks(2);
-  auto live = runner.RunAsync(
+  auto live = fleet.RunAsync(
       trace, Fcfs(), EngineFactory(&sinks, seed, SamplingParams::Greedy(), 1),
       SloSpec{5.0, 5.0}, FastReplay());
   ASSERT_TRUE(live.ok()) << live.status().ToString();
@@ -228,9 +245,78 @@ TEST(AsyncServingTest, WallMetricsAreInternallyConsistent) {
   EXPECT_GE(wall.ttft.P50(), wall.ttft.min());
   EXPECT_LE(wall.ttft.P99(), wall.ttft.max());
   EXPECT_GT(live->wall_duration_s, 0.0);
-  EXPECT_LE(live->arrival_queue_high_water, AsyncServingConfig{}.queue_capacity);
+  EXPECT_LE(live->arrival_queue_high_water, kAsyncArrivalQueueCapacity);
   // Virtual-frame report still comes along for the ride.
   EXPECT_EQ(live->serve.combined.ttfts.count(), trace.size());
+}
+
+TEST(AsyncServingTest, HierarchicalFleetMatchesVirtualMode) {
+  // Two cells of two instances: the feeder runs the same CellRouter front
+  // tier as the virtual run, so shared-prefix prompts hash to the same
+  // cells, land on the same instances and cost the same probes.
+  for (const uint64_t seed : FuzzSeeds()) {
+    SharedPrefixConfig sp;
+    sp.system_prompt_len = 16;
+    sp.num_conversations = 6;
+    sp.turns_per_conversation = 3;
+    sp.tokens_per_turn = 8;
+    sp.output_len_mean = 4;
+    sp.vocab_size = ModelConfig::Tiny().vocab_size;
+    sp.think_time_s = 0.2;
+    sp.conversation_stagger_s = 0.05;
+    sp.seed = seed;
+    auto trace = BuildSharedPrefixTrace(sp);
+    ASSERT_TRUE(trace.ok()) << trace.status().ToString();
+    FleetConfig config = StaticFleet(4);
+    config.router.policy = RoutePolicy::kPrefixAffinity;
+    config.router.block_size = 8;
+    config.cells.num_cells = 2;
+    const SamplingParams sampling = SamplingParams::Greedy();
+
+    std::vector<TokenMap> virt_sinks(4);
+    auto virt = FleetController(config).Run(
+        *trace, Fcfs(), EngineFactory(&virt_sinks, seed, sampling, 1),
+        SloSpec{5.0, 5.0});
+    ASSERT_TRUE(virt.ok()) << virt.status().ToString();
+    obs::MetricsRegistry registry;
+    config.metrics = &registry;
+    std::vector<TokenMap> async_sinks(4);
+    auto live = FleetController(config).RunAsync(
+        *trace, Fcfs(), EngineFactory(&async_sinks, seed, sampling, 1),
+        SloSpec{5.0, 5.0}, FastReplay());
+    ASSERT_TRUE(live.ok()) << live.status().ToString();
+
+    ExpectSameTokens(Flatten(std::move(virt_sinks)),
+                     Flatten(std::move(async_sinks)));
+    EXPECT_EQ(virt->serve.requests_per_instance,
+              live->serve.requests_per_instance)
+        << "seed=" << seed;
+    ExpectSameRouteCost(virt->serve.route_cost, live->serve.route_cost);
+    EXPECT_GT(live->serve.route_cost.cell_probes, 0);
+    EXPECT_EQ(registry.GetCounter("aptserve_router_decisions_total")->value(),
+              static_cast<int64_t>(trace->size()));
+  }
+}
+
+TEST(AsyncServingTest, ClockStartsAfterInstanceSetUp) {
+  // Slow instance construction (weights loading, say) is not serving time:
+  // neither wall_duration_s nor the arrival replay may include it.
+  const std::chrono::milliseconds set_up(250);
+  const uint64_t seed = FuzzSeeds().front();
+  std::vector<TokenMap> sinks(2);
+  const BackendFactory engines =
+      EngineFactory(&sinks, seed, SamplingParams::Greedy(), 1);
+  const BackendFactory slow = [&](int32_t i) {
+    std::this_thread::sleep_for(set_up);
+    return engines(i);
+  };
+  AsyncServingConfig async = FastReplay();
+  async.replay_speedup = 100.0;
+  auto live = FleetController(StaticFleet()).RunAsync(
+      TinyTrace(24, seed + 5), Fcfs(), slow, SloSpec{5.0, 5.0}, async);
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  EXPECT_LT(live->wall_duration_s,
+            std::chrono::duration<double>(set_up).count());
 }
 
 TEST(AsyncServingTest, ElasticFleetConfigRejected) {
@@ -251,16 +337,16 @@ TEST(AsyncServingTest, SingleInstanceFleetDrains) {
   // Degenerate fleet: one worker, everything through one queue; a lone
   // instance must also receive its own shed back without deadlocking.
   const uint64_t seed = FuzzSeeds().front();
-  RouterConfig router;
-  router.n_instances = 1;
-  router.policy = RoutePolicy::kRoundRobin;
-  MultiInstanceRunner runner(Router(router), ServingLoopConfig{});
+  FleetConfig config;
+  config.router.n_instances = 1;
+  config.router.policy = RoutePolicy::kRoundRobin;
+  FleetController fleet(config);
   const auto trace = TinyTrace(10, seed + 4);
 
   AsyncServingConfig async = FastReplay();
   async.shed_queue_depth = 1;
   std::vector<TokenMap> sinks(1);
-  auto live = runner.RunAsync(
+  auto live = fleet.RunAsync(
       trace, Fcfs(), EngineFactory(&sinks, seed, SamplingParams::Greedy(), 1),
       SloSpec{5.0, 5.0}, async);
   ASSERT_TRUE(live.ok()) << live.status().ToString();

@@ -21,7 +21,6 @@
 #include "serve/cell_router.h"
 #include "serve/cost_model_backend.h"
 #include "serve/fleet_controller.h"
-#include "serve/multi_instance.h"
 #include "serve/router.h"
 #include "workload/shared_prefix.h"
 
@@ -291,21 +290,20 @@ TEST(CellRouterTest, NumCellsOneIsBitIdenticalToFlatFleet) {
   const ModelSpec m = ModelSpec::Opt13B();
   const CostModel cm(m, ClusterSpec::ForModel(m));
   const auto trace = ConversationTrace();
-  RouterConfig rc;
-  rc.n_instances = 3;
-  rc.policy = RoutePolicy::kPrefixAffinity;
-  rc.block_size = 4;
-  const Router router(rc, &cm);
-
-  MultiInstanceRunner flat(router, ServingLoopConfig{});
-  CellRouterConfig one_cell;
-  one_cell.num_cells = 1;
-  MultiInstanceRunner hier(router, ServingLoopConfig{}, RuntimeConfig{},
-                           one_cell);
-  auto a = flat.Run(trace, Fcfs(), CostBackends(cm), SloSpec{5.0, 5.0});
-  auto b = hier.Run(trace, Fcfs(), CostBackends(cm), SloSpec{5.0, 5.0});
-  ASSERT_TRUE(a.ok()) << a.status().ToString();
-  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  FleetConfig flat;
+  flat.router.n_instances = 3;
+  flat.router.policy = RoutePolicy::kPrefixAffinity;
+  flat.router.block_size = 4;
+  FleetConfig hier = flat;
+  hier.cells.num_cells = 1;
+  auto a_run = FleetController(flat, &cm).Run(trace, Fcfs(), CostBackends(cm),
+                                               SloSpec{5.0, 5.0});
+  auto b_run = FleetController(hier, &cm).Run(trace, Fcfs(), CostBackends(cm),
+                                               SloSpec{5.0, 5.0});
+  ASSERT_TRUE(a_run.ok()) << a_run.status().ToString();
+  ASSERT_TRUE(b_run.ok()) << b_run.status().ToString();
+  const MultiInstanceResult* a = &a_run->serve;
+  const MultiInstanceResult* b = &b_run->serve;
 
   EXPECT_EQ(a->requests_per_instance, b->requests_per_instance);
   EXPECT_EQ(a->combined.total_serving_time, b->combined.total_serving_time);
@@ -333,16 +331,15 @@ TEST(CellRouterTest, HierarchicalServeConservesRequestsAndFoldsCellStats) {
   const ModelSpec m = ModelSpec::Opt13B();
   const CostModel cm(m, ClusterSpec::ForModel(m));
   const auto trace = ConversationTrace();
-  RouterConfig rc;
-  rc.n_instances = 4;
-  rc.policy = RoutePolicy::kPrefixAffinity;
-  rc.block_size = 4;
-  CellRouterConfig cc;
-  cc.num_cells = 2;
-  MultiInstanceRunner runner(Router(rc, &cm), ServingLoopConfig{},
-                             RuntimeConfig{}, cc);
-  auto r = runner.Run(trace, Fcfs(), CostBackends(cm), SloSpec{5.0, 5.0});
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  FleetConfig cfg;
+  cfg.router.n_instances = 4;
+  cfg.router.policy = RoutePolicy::kPrefixAffinity;
+  cfg.router.block_size = 4;
+  cfg.cells.num_cells = 2;
+  auto run = FleetController(cfg, &cm).Run(trace, Fcfs(), CostBackends(cm),
+                                           SloSpec{5.0, 5.0});
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const MultiInstanceResult* r = &run->serve;
 
   int64_t served = 0;
   for (int32_t c : r->requests_per_instance) served += c;

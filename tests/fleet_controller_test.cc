@@ -17,7 +17,6 @@
 #include "engine/inference_engine.h"
 #include "serve/cost_model_backend.h"
 #include "serve/inference_backend.h"
-#include "serve/multi_instance.h"
 #include "workload/arrival.h"
 #include "workload/shared_prefix.h"
 
@@ -96,23 +95,23 @@ TEST(FleetControllerTest, StaticFleetIsDegenerate) {
       fm.instance_seconds,
       2 * std::max(result->serve.combined.total_serving_time,
                    fm.instance_seconds / 2));
-  // And the serve-side result matches the classic runner bit for bit.
+  // And the serve-side result matches a default-config static fleet bit
+  // for bit.
   FleetConfig rr = cfg;
   rr.router.policy = RoutePolicy::kRoundRobin;
   FleetController rr_controller(rr, &cm);
   auto direct = rr_controller.Run(trace, Fcfs(), CostBackends(&cm),
                                   SloSpec{1.0, 1.0});
-  RouterConfig classic_router;
-  classic_router.n_instances = 2;
-  classic_router.policy = RoutePolicy::kRoundRobin;
-  MultiInstanceRunner runner(Router(classic_router), ServingLoopConfig{});
-  auto classic = runner.Run(trace, Fcfs(), CostBackends(&cm),
-                            SloSpec{1.0, 1.0});
-  ASSERT_TRUE(direct.ok() && classic.ok());
+  FleetConfig classic;
+  classic.router.n_instances = 2;
+  classic.router.policy = RoutePolicy::kRoundRobin;
+  auto plain = FleetController(classic).Run(trace, Fcfs(), CostBackends(&cm),
+                                            SloSpec{1.0, 1.0});
+  ASSERT_TRUE(direct.ok() && plain.ok());
   EXPECT_EQ(direct->serve.combined.ttfts.samples(),
-            classic->combined.ttfts.samples());
+            plain->serve.combined.ttfts.samples());
   EXPECT_EQ(direct->serve.combined.total_serving_time,
-            classic->combined.total_serving_time);
+            plain->serve.combined.total_serving_time);
 }
 
 TEST(FleetControllerTest, ScalesUpUnderLoadAndDrainsWhenQuiet) {

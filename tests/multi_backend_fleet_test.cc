@@ -1,4 +1,4 @@
-// MultiInstanceRunner composes with any ExecutionBackend: the same
+// FleetController composes with any ExecutionBackend: the same
 // routing policies shard the analytic CostModelBackend and the real-engine
 // InferenceBackend — which before the serve/ refactor was impossible
 // (sharding was wired to the simulator only).
@@ -7,8 +7,8 @@
 #include <memory>
 
 #include "baselines/fcfs_scheduler.h"
+#include "serve/fleet_controller.h"
 #include "serve/inference_backend.h"
-#include "serve/multi_instance.h"
 
 namespace aptserve {
 namespace {
@@ -26,13 +26,11 @@ TEST(MultiBackendFleetTest, InferenceBackendFleetServesAllRequests) {
     trace.push_back(r);
   }
 
-  RouterConfig router;
-  router.n_instances = 2;
-  router.policy = RoutePolicy::kRoundRobin;
-  ServingLoopConfig loop;
-  loop.max_batch_size = INT32_MAX;
-  MultiInstanceRunner runner(Router(router), loop);
-  auto result = runner.Run(
+  FleetConfig cfg;
+  cfg.router.n_instances = 2;
+  cfg.router.policy = RoutePolicy::kRoundRobin;
+  cfg.loop.max_batch_size = INT32_MAX;
+  auto run = FleetController(cfg).Run(
       trace, [] { return std::make_unique<FcfsScheduler>(); },
       [](int32_t instance) -> StatusOr<std::unique_ptr<ExecutionBackend>> {
         InferenceBackendOptions options;
@@ -44,7 +42,8 @@ TEST(MultiBackendFleetTest, InferenceBackendFleetServesAllRequests) {
                 options));
       },
       SloSpec{5.0, 5.0});
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const MultiInstanceResult* result = &run->serve;
   EXPECT_EQ(result->requests_per_instance[0], 6);
   EXPECT_EQ(result->requests_per_instance[1], 6);
   // Every request produced a first token on some instance.

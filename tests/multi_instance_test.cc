@@ -1,10 +1,9 @@
-#include "serve/multi_instance.h"
-
 #include <gtest/gtest.h>
 
 #include "baselines/fcfs_scheduler.h"
 #include "core/apt_scheduler.h"
 #include "serve/cost_model_backend.h"
+#include "serve/fleet_controller.h"
 #include "workload/trace.h"
 
 namespace aptserve {
@@ -32,14 +31,19 @@ StatusOr<MultiInstanceResult> RunFleet(const RouterConfig& router,
                                        const SchedulerFactory& make_scheduler,
                                        const SloSpec& slo) {
   const CostModel cm = Opt13();
-  return MultiInstanceRunner(Router(router), ServingLoopConfig{})
-      .Run(trace, make_scheduler,
-           [&](int32_t) -> StatusOr<std::unique_ptr<ExecutionBackend>> {
-             APT_ASSIGN_OR_RETURN(std::unique_ptr<CostModelBackend> backend,
-                                  CostModelBackend::Create(cm, {}));
-             return std::unique_ptr<ExecutionBackend>(std::move(backend));
-           },
-           slo);
+  FleetConfig cfg;
+  cfg.router = router;
+  APT_ASSIGN_OR_RETURN(
+      FleetResult r,
+      FleetController(cfg).Run(
+          trace, make_scheduler,
+          [&](int32_t) -> StatusOr<std::unique_ptr<ExecutionBackend>> {
+            APT_ASSIGN_OR_RETURN(std::unique_ptr<CostModelBackend> backend,
+                                 CostModelBackend::Create(cm, {}));
+            return std::unique_ptr<ExecutionBackend>(std::move(backend));
+          },
+          slo));
+  return std::move(r.serve);
 }
 
 TEST(DispatchTest, RoundRobinCycles) {

@@ -24,7 +24,6 @@
 #include "common/rng.h"
 #include "serve/cost_model_backend.h"
 #include "serve/fleet_controller.h"
-#include "serve/multi_instance.h"
 #include "serve/router.h"
 #include "workload/arrival.h"
 #include "workload/shared_prefix.h"
@@ -199,22 +198,22 @@ TEST(RouterFuzzTest, InvariantsAcrossPoliciesAdmissionAndSeeds) {
         };
         auto make_scheduler = [] { return std::make_unique<FcfsScheduler>(); };
 
-        RuntimeConfig serial;
-        serial.num_threads = 1;
-        MultiInstanceRunner runner(router, ServingLoopConfig{}, serial);
-        auto result = runner.Run(trace, make_scheduler, make_backend, slo);
-        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        FleetConfig fc;
+        fc.router = rc;
+        fc.runtime.num_threads = 1;
+        auto serial_run = FleetController(fc, &cm).Run(trace, make_scheduler,
+                                                        make_backend, slo);
+        ASSERT_TRUE(serial_run.ok()) << serial_run.status().ToString();
+        const MultiInstanceResult* result = &serial_run->serve;
         ExpectStatsSumToFleetTotals(*result, trace.size());
         EXPECT_EQ(result->rejected_requests, d1.rejected);
         EXPECT_EQ(result->deprioritized_requests, d1.deprioritized);
 
-        RuntimeConfig threaded;
-        threaded.num_threads = 4;
-        MultiInstanceRunner parallel(router, ServingLoopConfig{}, threaded);
-        auto threaded_result =
-            parallel.Run(trace, make_scheduler, make_backend, slo);
-        ASSERT_TRUE(threaded_result.ok())
-            << threaded_result.status().ToString();
+        fc.runtime.num_threads = 4;
+        auto threaded_run = FleetController(fc, &cm).Run(
+            trace, make_scheduler, make_backend, slo);
+        ASSERT_TRUE(threaded_run.ok()) << threaded_run.status().ToString();
+        const MultiInstanceResult* threaded_result = &threaded_run->serve;
         EXPECT_EQ(result->combined.total_serving_time,
                   threaded_result->combined.total_serving_time);
         EXPECT_EQ(result->combined.slo_attainment,
@@ -421,17 +420,15 @@ TEST(RouterFuzzTest, HierarchicalFleetInvariants) {
 
       // num_cells=1 is bit-for-bit the flat fleet.
       if (num_cells == 1) {
-        RouterConfig rc;
-        rc.n_instances = 8;
-        rc.policy = RoutePolicy::kPrefixAffinity;
-        rc.block_size = 4;
-        RuntimeConfig serial_rt;
-        serial_rt.num_threads = 1;
-        MultiInstanceRunner flat(Router(rc, &cm), ServingLoopConfig{},
-                                 serial_rt);
-        auto flat_result =
-            flat.Run(trace, make_scheduler, make_backend, slo);
-        ASSERT_TRUE(flat_result.ok()) << flat_result.status().ToString();
+        FleetConfig fc;
+        fc.router.n_instances = 8;
+        fc.router.policy = RoutePolicy::kPrefixAffinity;
+        fc.router.block_size = 4;
+        fc.runtime.num_threads = 1;
+        auto flat_run = FleetController(fc, &cm).Run(trace, make_scheduler,
+                                                      make_backend, slo);
+        ASSERT_TRUE(flat_run.ok()) << flat_run.status().ToString();
+        const MultiInstanceResult* flat_result = &flat_run->serve;
         EXPECT_EQ(flat_result->requests_per_instance,
                   serial.serve.requests_per_instance);
         EXPECT_EQ(flat_result->combined.total_serving_time,

@@ -17,8 +17,8 @@
 #include "baselines/fcfs_scheduler.h"
 #include "common/rng.h"
 #include "serve/cost_model_backend.h"
+#include "serve/fleet_controller.h"
 #include "serve/inference_backend.h"
-#include "serve/multi_instance.h"
 #include "serve/router.h"
 #include "workload/shared_prefix.h"
 #include "workload/trace.h"
@@ -232,14 +232,14 @@ TEST(RouterParityTest, RoundRobinFleetReportMatchesLegacyRunnerBitForBit) {
       MergeReports(shard_reports, legacy_fleet.requests_per_instance);
   const MultiInstanceResult* legacy_result = &legacy_fleet;
 
-  RouterConfig rc;
-  rc.n_instances = 3;
-  rc.policy = RoutePolicy::kRoundRobin;
-  MultiInstanceRunner routed(Router(rc), ServingLoopConfig{});
-  auto routed_result =
-      routed.Run(trace, [] { return std::make_unique<FcfsScheduler>(); },
-                 make_backend, slo);
-  ASSERT_TRUE(routed_result.ok()) << routed_result.status().ToString();
+  FleetConfig fc;
+  fc.router.n_instances = 3;
+  fc.router.policy = RoutePolicy::kRoundRobin;
+  auto routed_run = FleetController(fc).Run(
+      trace, [] { return std::make_unique<FcfsScheduler>(); }, make_backend,
+      slo);
+  ASSERT_TRUE(routed_run.ok()) << routed_run.status().ToString();
+  const MultiInstanceResult* routed_result = &routed_run->serve;
 
   EXPECT_EQ(legacy_result->requests_per_instance,
             routed_result->requests_per_instance);
@@ -496,18 +496,18 @@ TEST(RouterAdmissionTest, RejectionsFoldIntoFleetAttainmentAndGoodput) {
   // Give half the trace an impossible per-request deadline.
   for (size_t i = 0; i < trace.size(); i += 2) trace[i].slo_ttft_s = 1e-7;
 
-  RouterConfig rc;
-  rc.n_instances = 2;
-  rc.policy = RoutePolicy::kLeastOutstandingWork;
-  rc.admission = AdmissionMode::kReject;
+  FleetConfig fc;
+  fc.router.n_instances = 2;
+  fc.router.policy = RoutePolicy::kLeastOutstandingWork;
+  fc.router.admission = AdmissionMode::kReject;
   // Untagged requests have an unmissable default deadline, so exactly the
   // tagged half is rejected (no backlog cascade in this pin).
-  rc.default_slo = SloSpec{1e9, 1e9};
-  MultiInstanceRunner runner(Router(rc, &cm), ServingLoopConfig{});
-  auto result =
-      runner.Run(trace, [] { return std::make_unique<FcfsScheduler>(); },
-                 CostBackendFactory(cm, false, 16, -1), slo);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  fc.router.default_slo = SloSpec{1e9, 1e9};
+  auto run = FleetController(fc, &cm).Run(
+      trace, [] { return std::make_unique<FcfsScheduler>(); },
+      CostBackendFactory(cm, false, 16, -1), slo);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const MultiInstanceResult* result = &run->serve;
 
   EXPECT_EQ(result->rejected_requests, 30);
   EXPECT_EQ(result->combined.rejected_requests, 30);
@@ -528,16 +528,17 @@ TEST(RouterAdmissionTest, DeprioritizeServesBestEffort) {
   auto trace = MakeTrace(4.0, 40, 12);
   for (size_t i = 0; i < trace.size(); i += 2) trace[i].slo_ttft_s = 1e-7;
 
-  RouterConfig rc;
-  rc.n_instances = 2;
-  rc.policy = RoutePolicy::kLeastOutstandingWork;
-  rc.admission = AdmissionMode::kDeprioritize;
-  rc.default_slo = SloSpec{1e9, 1e9};  // only the tagged half deprioritizes
-  MultiInstanceRunner runner(Router(rc, &cm), ServingLoopConfig{});
-  auto result =
-      runner.Run(trace, [] { return std::make_unique<FcfsScheduler>(); },
-                 CostBackendFactory(cm, false, 16, -1), slo);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  FleetConfig fc;
+  fc.router.n_instances = 2;
+  fc.router.policy = RoutePolicy::kLeastOutstandingWork;
+  fc.router.admission = AdmissionMode::kDeprioritize;
+  // Only the tagged half deprioritizes.
+  fc.router.default_slo = SloSpec{1e9, 1e9};
+  auto run = FleetController(fc, &cm).Run(
+      trace, [] { return std::make_unique<FcfsScheduler>(); },
+      CostBackendFactory(cm, false, 16, -1), slo);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const MultiInstanceResult* result = &run->serve;
 
   // Everyone is served; the deprioritized half is excluded from
   // attainment/goodput but still produces latency samples.
@@ -564,16 +565,15 @@ TEST(RouterFleetTest, AffinityBeatsRoundRobinOnPrefillTokens) {
   const SloSpec slo{10.0, 10.0};
 
   auto run = [&](RoutePolicy policy) {
-    RouterConfig rc;
-    rc.n_instances = 2;
-    rc.policy = policy;
-    rc.block_size = 4;
-    MultiInstanceRunner runner(Router(rc, &cm), ServingLoopConfig{});
-    auto result =
-        runner.Run(trace, [] { return std::make_unique<FcfsScheduler>(); },
-                   CostBackendFactory(cm, true), slo);
+    FleetConfig fc;
+    fc.router.n_instances = 2;
+    fc.router.policy = policy;
+    fc.router.block_size = 4;
+    auto result = FleetController(fc, &cm).Run(
+        trace, [] { return std::make_unique<FcfsScheduler>(); },
+        CostBackendFactory(cm, true), slo);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
-    return *result;
+    return result->serve;
   };
 
   const MultiInstanceResult rr = run(RoutePolicy::kRoundRobin);
@@ -624,20 +624,22 @@ TEST(RouterFleetTest, FleetPrefixStatsIdenticalAcrossBackends) {
                                        /*system_prompt=*/16);
   const CostModel cm = Opt13();
   const SloSpec slo{10.0, 10.0};
-  RouterConfig rc;
-  rc.n_instances = 2;
-  rc.policy = RoutePolicy::kPrefixAffinity;
-  rc.block_size = 4;
-  MultiInstanceRunner runner(Router(rc, &cm), ServingLoopConfig{});
+  FleetConfig fc;
+  fc.router.n_instances = 2;
+  fc.router.policy = RoutePolicy::kPrefixAffinity;
+  fc.router.block_size = 4;
+  FleetController controller(fc, &cm);
 
-  auto cost = runner.Run(trace,
-                         [] { return std::make_unique<FcfsScheduler>(); },
-                         CostBackendFactory(cm, true, 4, 256), slo);
-  auto engine = runner.Run(trace,
-                           [] { return std::make_unique<FcfsScheduler>(); },
-                           EngineBackendFactory(true, 4, 256), slo);
-  ASSERT_TRUE(cost.ok()) << cost.status().ToString();
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  auto cost_run = controller.Run(
+      trace, [] { return std::make_unique<FcfsScheduler>(); },
+      CostBackendFactory(cm, true, 4, 256), slo);
+  auto engine_run = controller.Run(
+      trace, [] { return std::make_unique<FcfsScheduler>(); },
+      EngineBackendFactory(true, 4, 256), slo);
+  ASSERT_TRUE(cost_run.ok()) << cost_run.status().ToString();
+  ASSERT_TRUE(engine_run.ok()) << engine_run.status().ToString();
+  const MultiInstanceResult* cost = &cost_run->serve;
+  const MultiInstanceResult* engine = &engine_run->serve;
 
   EXPECT_EQ(cost->requests_per_instance, engine->requests_per_instance);
   EXPECT_EQ(cost->prefill_tokens_skipped, engine->prefill_tokens_skipped);
@@ -646,7 +648,7 @@ TEST(RouterFleetTest, FleetPrefixStatsIdenticalAcrossBackends) {
   EXPECT_EQ(cost->prefix.matched_tokens, engine->prefix.matched_tokens);
   EXPECT_EQ(cost->prefix.shared_blocks, engine->prefix.shared_blocks);
   EXPECT_EQ(cost->prefix.cow_matches, engine->prefix.cow_matches);
-  for (int32_t i = 0; i < rc.n_instances; ++i) {
+  for (int32_t i = 0; i < fc.router.n_instances; ++i) {
     EXPECT_EQ(cost->prefix_per_instance[i].hits,
               engine->prefix_per_instance[i].hits)
         << "instance " << i;
