@@ -7,9 +7,8 @@
 namespace aptserve {
 
 PrefixIndex::PrefixIndex(BlockPool* pool, int32_t block_size)
-    : pool_(pool), block_size_(block_size) {
+    : pool_(pool), block_size_(block_size), trie_(block_size) {
   APT_CHECK(pool != nullptr);
-  APT_CHECK_MSG(block_size > 0, "block size must be positive");
   APT_CHECK_MSG(block_size == pool->block_size(),
                 "index block size must match the pool's");
 }
@@ -25,15 +24,12 @@ PrefixMatch PrefixIndex::Match(const std::vector<int32_t>& tokens,
 
   // Walk the longest raw path first; the cap is applied afterwards so a
   // match that overruns `max_usable` mid-block becomes the COW case.
-  std::vector<Node*> path;
-  Node* node = &root_;
+  std::vector<Trie::NodeId> path;
+  Trie::NodeId node = Trie::kRoot;
   int32_t raw = 0;
-  std::vector<int32_t> chunk(block_size_);
   while (raw + block_size_ <= static_cast<int32_t>(tokens.size())) {
-    chunk.assign(tokens.begin() + raw, tokens.begin() + raw + block_size_);
-    auto it = node->children.find(chunk);
-    if (it == node->children.end()) break;
-    node = it->second.get();
+    node = trie_.Find(node, tokens.data() + raw);
+    if (node == Trie::kNil) break;
     path.push_back(node);
     raw += block_size_;
   }
@@ -43,7 +39,7 @@ PrefixMatch PrefixIndex::Match(const std::vector<int32_t>& tokens,
   if (usable <= 0) return match;
   // Keep the matched path hot regardless of the cap: the deep prefix was
   // recognized even if the requester cannot use all of it.
-  for (Node* n : path) Touch(n);
+  for (Trie::NodeId n : path) trie_.Touch(n);
 
   const int32_t full = usable / block_size_;
   const int32_t cow = usable % block_size_;
@@ -51,12 +47,12 @@ PrefixMatch PrefixIndex::Match(const std::vector<int32_t>& tokens,
   match.k_blocks.reserve(full);
   match.v_blocks.reserve(full);
   for (int32_t i = 0; i < full; ++i) {
-    match.k_blocks.push_back(path[i]->k_block);
-    match.v_blocks.push_back(path[i]->v_block);
+    match.k_blocks.push_back(trie_.payload(path[i]).k_block);
+    match.v_blocks.push_back(trie_.payload(path[i]).v_block);
   }
   if (cow > 0) {
-    match.cow_src_k = path[full]->k_block;
-    match.cow_src_v = path[full]->v_block;
+    match.cow_src_k = trie_.payload(path[full]).k_block;
+    match.cow_src_v = trie_.payload(path[full]).v_block;
     match.cow_tokens = cow;
   }
   return match;
@@ -81,116 +77,85 @@ int32_t PrefixIndex::Insert(const std::vector<int32_t>& tokens,
   const int32_t max_nodes =
       std::min(static_cast<int32_t>(std::min(k_blocks.size(), v_blocks.size())),
                limit / block_size_);
-  Node* node = &root_;
+  Trie::NodeId node = Trie::kRoot;
   int32_t created = 0;
-  std::vector<int32_t> chunk(block_size_);
   for (int32_t i = 0; i < max_nodes; ++i) {
-    chunk.assign(tokens.begin() + static_cast<int64_t>(i) * block_size_,
-                 tokens.begin() + static_cast<int64_t>(i + 1) * block_size_);
-    auto it = node->children.find(chunk);
-    if (it != node->children.end()) {
+    const int32_t* chunk =
+        tokens.data() + static_cast<int64_t>(i) * block_size_;
+    const Trie::NodeId existing = trie_.Find(node, chunk);
+    if (existing != Trie::kNil) {
       // First writer wins: the existing node's payload caches the same
       // token prefix, so re-pointing it at this request's blocks would
       // only churn references for no benefit.
-      node = it->second.get();
-      Touch(node);
+      node = existing;
+      trie_.Touch(node);
       continue;
     }
     APT_CHECK_MSG(pool_->IsAllocated(k_blocks[i]) &&
                       pool_->IsAllocated(v_blocks[i]),
                   "cannot index a free block");
-    auto child = std::make_unique<Node>();
-    child->parent = node;
-    child->k_block = k_blocks[i];
-    child->v_block = v_blocks[i];
     APT_CHECK(pool_->Ref(k_blocks[i]).ok());
     APT_CHECK(pool_->Ref(v_blocks[i]).ok());
-    Node* raw = child.get();
-    node->children.emplace(chunk, std::move(child));
-    node = raw;
-    Touch(node);
+    node = trie_.Add(node, chunk);  // starts most recently used
+    Entry& entry = trie_.payload(node);
+    entry.k_block = k_blocks[i];
+    entry.v_block = v_blocks[i];
     ++created;
-    ++num_nodes_;
     stats_.inserted_blocks += 2;
     if (hooks_.inserted_blocks != nullptr) hooks_.inserted_blocks->Inc(2);
   }
   return created;
 }
 
-void PrefixIndex::CollectEvictableLeaves(Node* node,
-                                         std::vector<Node*>* out) const {
-  // A leaf is evictable when nothing besides the index owns its blocks; a
-  // pinned leaf (matched by a request mid-seeding, or still part of a live
-  // cache map) has RefCount > 1 and is skipped, which is exactly the
-  // "eviction racing a concurrent match" guarantee.
-  for (const auto& [chunk, child] : node->children) {
-    (void)chunk;
-    if (child->children.empty()) {
-      if (pool_->RefCount(child->k_block) == 1 &&
-          pool_->RefCount(child->v_block) == 1) {
-        out->push_back(child.get());
-      }
-    } else {
-      CollectEvictableLeaves(child.get(), out);
-    }
-  }
-}
-
 int32_t PrefixIndex::EvictLru(int32_t min_blocks) {
   int32_t freed = 0;
   while (freed < min_blocks) {
-    // One traversal per wave: collect every currently evictable leaf, then
-    // evict in LRU order. Interior nodes exposed by a wave become leaves
-    // for the next one, so sustained pressure still peels bottom-up
-    // without rescanning the tree per evicted pair.
-    std::vector<Node*> wave;
-    CollectEvictableLeaves(&root_, &wave);
-    if (wave.empty()) break;
-    std::sort(wave.begin(), wave.end(), [](const Node* a, const Node* b) {
-      return a->last_use < b->last_use;
-    });
-    for (Node* victim : wave) {
-      if (freed >= min_blocks) return freed;
-      APT_CHECK(pool_->Free(victim->k_block).ok());
-      APT_CHECK(pool_->Free(victim->v_block).ok());
-      freed += 2;
-      stats_.evicted_blocks += 2;
-      if (hooks_.evicted_blocks != nullptr) hooks_.evicted_blocks->Inc(2);
-      --num_nodes_;
-      Node* parent = victim->parent;
-      for (auto it = parent->children.begin(); it != parent->children.end();
-           ++it) {
-        if (it->second.get() == victim) {
-          parent->children.erase(it);
-          break;
+    // One wave: walk the recency list oldest first and evict every leaf
+    // that was evictable when the wave started. A leaf is evictable when
+    // nothing besides the index owns its blocks; a pinned leaf (matched by
+    // a request mid-seeding, or still part of a live cache map) has
+    // RefCount > 1 and is skipped, which is exactly the "eviction racing a
+    // concurrent match" guarantee. A parent exposed by this wave's
+    // evictions is stamped and left to the next wave.
+    ++wave_;
+    bool evicted = false;
+    for (Trie::NodeId id = trie_.oldest();
+         id != Trie::kNil && freed < min_blocks;) {
+      const Trie::NodeId next = trie_.newer(id);
+      const Entry& entry = trie_.payload(id);
+      if (trie_.is_leaf(id) && entry.exposed_wave != wave_ &&
+          pool_->RefCount(entry.k_block) == 1 &&
+          pool_->RefCount(entry.v_block) == 1) {
+        APT_CHECK(pool_->Free(entry.k_block).ok());
+        APT_CHECK(pool_->Free(entry.v_block).ok());
+        freed += 2;
+        stats_.evicted_blocks += 2;
+        if (hooks_.evicted_blocks != nullptr) hooks_.evicted_blocks->Inc(2);
+        const Trie::NodeId parent = trie_.parent(id);
+        trie_.EraseLeaf(id);
+        if (parent != Trie::kRoot && trie_.is_leaf(parent)) {
+          trie_.payload(parent).exposed_wave = wave_;
         }
+        evicted = true;
       }
+      id = next;
     }
+    if (!evicted) break;
   }
   return freed;
 }
 
 void PrefixIndex::Clear() {
-  // Post-order release: children before parents (unique_ptr destruction
-  // handles the tree; the pool references need the explicit walk).
-  struct Walker {
-    BlockPool* pool;
-    void Release(Node* node) {
-      for (auto& [chunk, child] : node->children) {
-        (void)chunk;
-        Release(child.get());
-        APT_CHECK(pool->Free(child->k_block).ok());
-        APT_CHECK(pool->Free(child->v_block).ok());
-      }
-      node->children.clear();
-    }
-  };
-  Walker{pool_}.Release(&root_);
-  num_nodes_ = 0;
+  for (Trie::NodeId id = trie_.oldest(); id != Trie::kNil;
+       id = trie_.newer(id)) {
+    APT_CHECK(pool_->Free(trie_.payload(id).k_block).ok());
+    APT_CHECK(pool_->Free(trie_.payload(id).v_block).ok());
+  }
+  trie_.Clear();
 }
 
 std::string PrefixIndex::DebugString() const {
-  std::string out = "PrefixIndex{nodes=" + std::to_string(num_nodes_) +
+  std::string out = "PrefixIndex{nodes=" + std::to_string(num_nodes()) +
                     ", indexed_blocks=" + std::to_string(indexed_blocks()) +
                     ", lookups=" + std::to_string(stats_.lookups) +
                     ", hits=" + std::to_string(stats_.hits) +

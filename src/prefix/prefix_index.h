@@ -29,14 +29,13 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "cache/block_pool.h"
 #include "cache/cache_types.h"
 #include "common/status.h"
+#include "prefix/chunk_trie.h"
 
 namespace aptserve {
 
@@ -120,17 +119,19 @@ class PrefixIndex {
 
   /// Evicts least-recently-used leaves whose blocks have no owner besides
   /// the index, until at least `min_blocks` blocks were returned to the
-  /// pool or nothing evictable remains. Returns blocks freed. Interior
-  /// nodes become leaves as their subtrees drain, so repeated pressure
-  /// peels the tree bottom-up.
+  /// pool or nothing evictable remains. Returns blocks freed. Eviction runs
+  /// in waves: a wave visits the leaves evictable when it starts, least
+  /// recently used first; an interior node that becomes a leaf during a
+  /// wave waits for the next one, so repeated pressure peels the tree
+  /// bottom-up. Cost is the recency-list prefix walked, not the tree size.
   int32_t EvictLru(int32_t min_blocks);
 
   /// Drops every node and releases the index's block references.
   void Clear();
 
-  int32_t num_nodes() const { return num_nodes_; }
+  int32_t num_nodes() const { return static_cast<int32_t>(trie_.size()); }
   /// Blocks currently owned by the index (2 per node: one K, one V).
-  int32_t indexed_blocks() const { return 2 * num_nodes_; }
+  int32_t indexed_blocks() const { return 2 * num_nodes(); }
   int32_t block_size() const { return block_size_; }
   const PrefixStats& stats() const { return stats_; }
 
@@ -150,26 +151,21 @@ class PrefixIndex {
   std::string DebugString() const;
 
  private:
-  struct Node {
-    /// Children keyed by their full token chunk. std::map keeps traversal
-    /// deterministic (lexicographic) independent of insertion order.
-    std::map<std::vector<int32_t>, std::unique_ptr<Node>> children;
-    Node* parent = nullptr;
+  struct Entry {
     BlockId k_block = kInvalidBlock;
     BlockId v_block = kInvalidBlock;
-    /// Logical LRU clock value of the last Match/Insert touching this node.
-    uint64_t last_use = 0;
+    /// EvictLru wave in which this node became a leaf; it is a candidate
+    /// only from the next wave on.
+    uint64_t exposed_wave = 0;
   };
-
-  void Touch(Node* node) { node->last_use = ++clock_; }
-  /// Appends every currently evictable leaf under `node` to `out`.
-  void CollectEvictableLeaves(Node* node, std::vector<Node*>* out) const;
+  using Trie = ChunkTrie<Entry>;
 
   BlockPool* pool_;
   int32_t block_size_;
-  Node root_;
-  int32_t num_nodes_ = 0;
-  uint64_t clock_ = 0;
+  /// Chunks, blocks and the recency order (oldest = least recently
+  /// matched or inserted) of every node.
+  Trie trie_;
+  uint64_t wave_ = 0;
   PrefixStats stats_;
   MetricHooks hooks_;
 };

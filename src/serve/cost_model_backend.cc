@@ -47,13 +47,7 @@ CostModelBackend::CostModelBackend(const CostModel& cost_model,
 Status CostModelBackend::Prepare(const std::vector<SimRequest>& reqs) {
   // Verify every request can ever fit (hidden cache in an empty pool).
   for (const SimRequest& sr : reqs) {
-    const int32_t need =
-        assigner_.BlocksNeeded(CacheType::kHidden, sr.spec.total_len());
-    if (need > pool_.num_blocks()) {
-      return Status::InvalidArgument(
-          "request " + std::to_string(sr.spec.id) +
-          " cannot fit in the cache pool even with hidden cache");
-    }
+    APT_RETURN_NOT_OK(CheckFits(sr));
   }
   for (const SimRequest& sr : reqs) {
     APT_RETURN_NOT_OK(RegisterTokenIds(sr));
@@ -61,11 +55,23 @@ Status CostModelBackend::Prepare(const std::vector<SimRequest>& reqs) {
   return Status::OK();
 }
 
+Status CostModelBackend::CheckFits(const SimRequest& sr) const {
+  const int32_t need =
+      assigner_.BlocksNeeded(CacheType::kHidden, sr.spec.total_len());
+  if (need > pool_.num_blocks()) {
+    return Status::InvalidArgument(
+        "request " + std::to_string(sr.spec.id) +
+        " cannot fit in the cache pool even with hidden cache");
+  }
+  return Status::OK();
+}
+
 Status CostModelBackend::RegisterTokenIds(const SimRequest& sr) {
-  if (!prefix_index_) return Status::OK();
-  // Matching needs token content: use the trace's ids when present,
-  // otherwise the deterministic synthesizer (same function every backend
-  // uses, so hit accounting is comparable across them).
+  // Trace-provided ids are kept even without an index: this backend is
+  // their only owner on the instance, and a migration carries them on.
+  // Length-only requests get the deterministic synthesizer's ids (same
+  // function every backend uses, so hit accounting is comparable across
+  // them), but only when there is an index to match them against.
   if (sr.spec.has_token_ids()) {
     if (static_cast<int32_t>(sr.spec.token_ids.size()) != sr.spec.prompt_len) {
       return Status::InvalidArgument(
@@ -73,7 +79,7 @@ Status CostModelBackend::RegisterTokenIds(const SimRequest& sr) {
           " token_ids size does not match prompt_len");
     }
     token_ids_[sr.spec.id] = sr.spec.token_ids;
-  } else {
+  } else if (prefix_index_) {
     token_ids_[sr.spec.id] = DeterministicPromptTokens(
         sr.spec.id, options_.token_seed, sr.spec.prompt_len,
         options_.token_vocab);
@@ -82,13 +88,7 @@ Status CostModelBackend::RegisterTokenIds(const SimRequest& sr) {
 }
 
 Status CostModelBackend::Admit(const SimRequest& sr) {
-  const int32_t need =
-      assigner_.BlocksNeeded(CacheType::kHidden, sr.spec.total_len());
-  if (need > pool_.num_blocks()) {
-    return Status::InvalidArgument(
-        "request " + std::to_string(sr.spec.id) +
-        " cannot fit in the cache pool even with hidden cache");
-  }
+  APT_RETURN_NOT_OK(CheckFits(sr));
   return RegisterTokenIds(sr);
 }
 
@@ -97,9 +97,8 @@ StatusOr<MigrationImage> CostModelBackend::ExportRequest(const SimRequest& sr) {
   MigrationImage image;
   auto ids = token_ids_.find(id);
   if (ids != token_ids_.end()) {
-    image.tokens = ids->second;
-  } else if (sr.spec.has_token_ids()) {
-    image.tokens = sr.spec.token_ids;
+    image.tokens = std::move(ids->second);
+    token_ids_.erase(ids);
   }
   image.prompt_len = sr.spec.prompt_len;
   image.cache_type = sr.cache_type;
@@ -110,21 +109,21 @@ StatusOr<MigrationImage> CostModelBackend::ExportRequest(const SimRequest& sr) {
     image.cached_tokens = cache.num_tokens;
     APT_RETURN_NOT_OK(assigner_.ReleaseExported(id));
   }
-  token_ids_.erase(id);
   return image;
 }
 
 StatusOr<MigrationImport> CostModelBackend::ImportRequest(
     const SimRequest& sr, const MigrationImage& image) {
-  APT_RETURN_NOT_OK(Admit(sr));
+  APT_RETURN_NOT_OK(CheckFits(sr));
   const RequestId id = sr.spec.id;
-  if (prefix_index_ &&
-      static_cast<int32_t>(image.tokens.size()) >= image.prompt_len &&
+  if (static_cast<int32_t>(image.tokens.size()) >= image.prompt_len &&
       image.prompt_len > 0) {
-    // The source's (possibly trace-provided) content wins over a fresh
-    // synthesis so matching stays consistent across the migration.
+    // The source's (possibly trace-provided) content, never a fresh
+    // synthesis, so matching stays consistent across the migration.
     token_ids_[id].assign(image.tokens.begin(),
                           image.tokens.begin() + image.prompt_len);
+  } else {
+    APT_RETURN_NOT_OK(RegisterTokenIds(sr));
   }
   MigrationImport import;
   if (!image.carries_cache()) return import;
@@ -307,6 +306,7 @@ StatusOr<ExecutionBackend::StepOutcome> CostModelBackend::ExecuteDecode(
 }
 
 Status CostModelBackend::OnFinish(const SimRequest& sr) {
+  token_ids_.erase(sr.spec.id);
   return assigner_.Release(sr.spec.id);
 }
 

@@ -95,6 +95,12 @@ class CostModelBackend : public ExecutionBackend {
   }
 
   int32_t pool_blocks() const { return pool_.num_blocks(); }
+  /// Whether this backend holds `id`'s token ids (only while it is live
+  /// here), and for how many requests it holds them.
+  bool HoldsTokenIds(RequestId id) const { return token_ids_.count(id) > 0; }
+  int64_t requests_with_token_ids() const {
+    return static_cast<int64_t>(token_ids_.size());
+  }
   /// The analytic backend's prefix index; null unless enabled.
   const PrefixIndex* prefix_index() const { return prefix_index_.get(); }
 
@@ -102,8 +108,11 @@ class CostModelBackend : public ExecutionBackend {
   CostModelBackend(const CostModel& cost_model, const Options& options,
                    int32_t pool_blocks);
 
-  /// Records the request's prompt token ids (trace-provided or synthesized)
-  /// when prefix sharing is on; shared by Prepare and Admit.
+  /// InvalidArgument unless the request fits an empty pool as hidden cache.
+  Status CheckFits(const SimRequest& sr) const;
+  /// Records the request's prompt token ids: the trace's, or synthesized
+  /// ones when prefix sharing is on. Shared by Prepare, Admit and a cold
+  /// ImportRequest.
   Status RegisterTokenIds(const SimRequest& sr);
 
   CostModel cost_model_;
@@ -113,7 +122,9 @@ class CostModelBackend : public ExecutionBackend {
   SwapSpace swap_;
   /// Declared after pool_ so destruction releases index references first.
   std::unique_ptr<PrefixIndex> prefix_index_;
-  /// Prompt token ids per request (trace-provided or synthesized).
+  /// Prompt token ids of every live request (trace-provided, or
+  /// synthesized for the index): the instance's only copy. Dropped when the
+  /// request finishes or is exported (the image carries them on).
   std::unordered_map<RequestId, std::vector<int32_t>> token_ids_;
   /// Requests whose prefill completed this iteration; indexed at
   /// EndIteration so within-iteration hit accounting matches the engine

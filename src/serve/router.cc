@@ -6,6 +6,7 @@
 
 #include "common/logging.h"
 #include "common/rng.h"
+#include "prefix/chunk_trie.h"
 
 namespace aptserve {
 
@@ -42,7 +43,7 @@ namespace {
 class AffinityMirror {
  public:
   AffinityMirror(int32_t block_size, int64_t max_nodes)
-      : block_size_(block_size), max_nodes_(max_nodes) {}
+      : trie_(block_size), max_nodes_(max_nodes) {}
 
   /// Matched positions: block_size per matched chunk, capped (like index
   /// callers) at prompt_len - 1 so the score never exceeds what a real
@@ -51,18 +52,15 @@ class AffinityMirror {
   /// observational re-scores so tracing never changes the counters.
   int32_t MatchTokens(const std::vector<int32_t>& tokens,
                       int64_t* nodes_walked = nullptr) const {
-    const Node* node = root_.get();
+    const int32_t block_size = trie_.chunk_len();
+    Trie::NodeId node = Trie::kRoot;
     int32_t matched = 0;
     const int32_t usable = static_cast<int32_t>(tokens.size()) - 1;
-    std::vector<int32_t> chunk(block_size_);
-    while (matched + block_size_ <= usable) {
-      chunk.assign(tokens.begin() + matched,
-                   tokens.begin() + matched + block_size_);
+    while (matched + block_size <= usable) {
       if (nodes_walked != nullptr) ++*nodes_walked;
-      auto it = node->children.find(chunk);
-      if (it == node->children.end()) break;
-      node = it->second.get();
-      matched += block_size_;
+      node = trie_.Find(node, tokens.data() + matched);
+      if (node == Trie::kNil) break;
+      matched += block_size;
     }
     return matched;
   }
@@ -73,75 +71,50 @@ class AffinityMirror {
   };
 
   InsertDelta Insert(const std::vector<int32_t>& tokens) {
+    const int32_t block_size = trie_.chunk_len();
     InsertDelta delta;
-    Node* node = root_.get();
+    Trie::NodeId node = Trie::kRoot;
     const int32_t n = static_cast<int32_t>(tokens.size());
-    for (int32_t at = 0; at + block_size_ <= n; at += block_size_) {
-      std::vector<int32_t> chunk(tokens.begin() + at,
-                                 tokens.begin() + at + block_size_);
-      auto it = node->children.find(chunk);
-      if (it == node->children.end()) {
-        auto child = std::make_unique<Node>();
-        child->parent = node;
-        it = node->children.emplace(std::move(chunk), std::move(child)).first;
-        it->second->self = it;
-        ++num_nodes_;
+    for (int32_t at = 0; at + block_size <= n; at += block_size) {
+      const Trie::NodeId child = trie_.Find(node, tokens.data() + at);
+      if (child != Trie::kNil) {
+        node = child;
+        trie_.Touch(node);
+      } else {
+        node = trie_.Add(node, tokens.data() + at);  // most recent
         ++delta.created;
       }
-      node = it->second.get();
-      Touch(node);
     }
     // Cap after the walk completes so eviction can never invalidate the
     // path the insert is standing on (at tiny caps the freshly inserted
     // tail is itself evictable — correct, just wasteful).
-    while (num_nodes_ > max_nodes_ && EvictOldestLeaf()) ++delta.evicted;
+    while (trie_.size() > max_nodes_ && EvictOldestLeaf()) ++delta.evicted;
     return delta;
   }
 
-  int64_t num_nodes() const { return num_nodes_; }
+  int64_t num_nodes() const { return trie_.size(); }
 
  private:
-  struct Node {
-    std::map<std::vector<int32_t>, std::unique_ptr<Node>> children;
-    Node* parent = nullptr;
-    /// This node's slot in parent->children (std::map iterators are
-    /// stable), so eviction erases without re-hashing the chunk key.
-    std::map<std::vector<int32_t>, std::unique_ptr<Node>>::iterator self;
-    /// Last-touch tick; unique per touch, so LRU order is total and
-    /// eviction is deterministic.
-    uint64_t touch = 0;
-  };
-
-  void Touch(Node* node) {
-    if (node->touch != 0) lru_.erase(node->touch);
-    node->touch = ++tick_;
-    lru_.emplace(node->touch, node);
-  }
+  struct NoPayload {};
+  using Trie = ChunkTrie<NoPayload>;
 
   /// Evicts the least-recently-touched leaf. Internal nodes become
   /// evictable once their subtrees go (same leaves-first shape as
   /// PrefixIndex::EvictLru).
   bool EvictOldestLeaf() {
-    for (auto it = lru_.begin(); it != lru_.end(); ++it) {
-      Node* node = it->second;
-      if (!node->children.empty()) continue;
-      lru_.erase(it);
-      node->parent->children.erase(node->self);  // destroys `node`
-      --num_nodes_;
+    for (Trie::NodeId id = trie_.oldest(); id != Trie::kNil;
+         id = trie_.newer(id)) {
+      if (!trie_.is_leaf(id)) continue;
+      trie_.EraseLeaf(id);
       return true;
     }
     return false;
   }
 
-  int32_t block_size_;
+  /// Chunks in one arena, children found by chunk hash, nodes ordered by
+  /// last touch (oldest first) — see prefix/chunk_trie.h.
+  Trie trie_;
   int64_t max_nodes_;
-  int64_t num_nodes_ = 0;
-  uint64_t tick_ = 0;
-  /// Heap-held so parent pointers into the root survive a mirror move
-  /// (RouterState's mirror vector reallocates as an elastic fleet grows).
-  std::unique_ptr<Node> root_ = std::make_unique<Node>();
-  /// touch tick -> node, ascending = LRU order (the root never enters).
-  std::map<uint64_t, Node*> lru_;
 };
 
 }  // namespace

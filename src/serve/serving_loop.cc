@@ -32,22 +32,24 @@ Status ServingLoopState::Start(const std::vector<Request>& trace,
     if (r.prompt_len <= 0 || r.output_len <= 0) {
       return Status::InvalidArgument("request lengths must be positive");
     }
-    reqs.push_back(sr);
+    reqs.push_back(std::move(sr));
     metrics_.RegisterRequest(r);
   }
   std::sort(reqs.begin(), reqs.end(),
             [](const SimRequest& a, const SimRequest& b) {
               return a.spec.arrival < b.spec.arrival;
             });
+  // The backend takes the token ids it needs here; the slots keep none.
   APT_RETURN_NOT_OK(backend_->Prepare(reqs));
   slots_.reserve(reqs.size());
-  for (const SimRequest& sr : reqs) {
+  for (SimRequest& sr : reqs) {
     auto slot = std::make_unique<Slot>();
-    slot->sr = sr;
-    slot->available_at = sr.spec.arrival;
-    slot->obs_enqueued_at = sr.spec.arrival;
+    slot->sr = std::move(sr);
+    ReleaseTokenIds(&slot->sr.spec);
+    slot->available_at = slot->sr.spec.arrival;
+    slot->obs_enqueued_at = slot->available_at;
     slot->seq = next_seq_++;
-    index_[sr.spec.id] = slot.get();
+    index_[slot->sr.spec.id] = slot.get();
     pending_.push_back(slot.get());  // sorted input => sorted pending
     slots_.push_back(std::move(slot));
   }
@@ -71,8 +73,7 @@ void ServingLoopState::InsertPending(Slot* slot) {
       std::upper_bound(pending_.begin(), pending_.end(), slot, before), slot);
 }
 
-Status ServingLoopState::Register(const Request& r, double available_at,
-                                  bool admit_backend) {
+Status ServingLoopState::Register(const Request& r, double available_at) {
   if (r.prompt_len <= 0 || r.output_len <= 0) {
     return Status::InvalidArgument("request lengths must be positive");
   }
@@ -86,7 +87,8 @@ Status ServingLoopState::Register(const Request& r, double available_at,
   slot->seq = next_seq_++;
   Slot* raw = slot.get();
   metrics_.RegisterRequest(r);
-  if (admit_backend) APT_RETURN_NOT_OK(backend_->Admit(raw->sr));
+  APT_RETURN_NOT_OK(backend_->Admit(raw->sr));
+  ReleaseTokenIds(&raw->sr.spec);  // the backend holds them now
   index_[r.id] = raw;
   InsertPending(raw);
   slots_.push_back(std::move(slot));
@@ -96,8 +98,7 @@ Status ServingLoopState::Register(const Request& r, double available_at,
 Status ServingLoopState::Inject(const Request& r, double available_at,
                                 double wall_arrival) {
   APT_CHECK_MSG(started_ && !finished_run_, "Inject outside a live run");
-  APT_RETURN_NOT_OK(
-      Register(r, std::max(available_at, r.arrival), /*admit_backend=*/true));
+  APT_RETURN_NOT_OK(Register(r, std::max(available_at, r.arrival)));
   if (wall_clock_ != nullptr) {
     wall_metrics_.OnArrival(
         r.id, wall_arrival >= 0 ? wall_arrival : wall_clock_->Now());
@@ -684,7 +685,7 @@ StatusOr<ServingLoopResult> ServingLoopState::Finish() {
     obs_.prefix_hit_tokens->Inc(result_.prefix.matched_tokens);
   }
   result_.report = metrics_.Report(slo_);
-  result_.records = metrics_.records();
+  result_.records = metrics_.TakeRecords();
   result_.wall_metrics = std::move(wall_metrics_);
   return std::move(result_);
 }

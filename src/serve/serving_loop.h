@@ -91,6 +91,7 @@ struct ServingLoopResult {
 /// (cache/migration_image.h), and its metrics record so TTFT/TBT history
 /// survives the move.
 struct MigratedRequest {
+  /// Without token ids: they travel in `image.tokens`.
   Request spec;
   CacheType cache_type = CacheType::kKV;
   int32_t generated = 0;
@@ -243,7 +244,8 @@ class ServingLoopState {
     bool obs_first_run = false;
   };
 
-  Status Register(const Request& r, double available_at, bool admit_backend);
+  /// Admits `r` to the backend (which takes its token ids) and queues it.
+  Status Register(const Request& r, double available_at);
   void InsertPending(Slot* slot);
 
   ExecutionBackend* backend_;

@@ -16,6 +16,7 @@ double RequestRecord::P99Tbt() const {
 void MetricsCollector::RegisterRequest(const Request& spec) {
   RequestRecord rec;
   rec.spec = spec;
+  ReleaseTokenIds(&rec.spec);
   records_[spec.id] = std::move(rec);
 }
 

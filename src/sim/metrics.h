@@ -20,6 +20,7 @@ struct SloSpec {
 };
 
 struct RequestRecord {
+  /// The request's description without its token ids (ReleaseTokenIds).
   Request spec;
   double ttft = -1.0;                ///< seconds; -1 if no token emitted.
   std::vector<double> tbt_samples;   ///< gaps between consecutive tokens.
@@ -230,6 +231,10 @@ class MetricsCollector {
   SloReport Report(const SloSpec& slo) const;
   const std::unordered_map<RequestId, RequestRecord>& records() const {
     return records_;
+  }
+  /// Moves the records out (the collector keeps none afterwards).
+  std::unordered_map<RequestId, RequestRecord> TakeRecords() {
+    return std::move(records_);
   }
 
  private:

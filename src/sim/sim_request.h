@@ -14,6 +14,9 @@ enum class RequestPhase {
 };
 
 struct SimRequest {
+  /// The request's description. The serving loop's copy holds no token
+  /// ids: the loop passes them to the backend's Prepare/Admit, and from
+  /// then on the backend is their only owner on the instance.
   Request spec;
   RequestPhase phase = RequestPhase::kWaiting;
   /// Cache type currently held (running) or to be used at the next prefill

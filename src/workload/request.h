@@ -38,4 +38,12 @@ struct Request {
   bool has_own_slo() const { return slo_ttft_s >= 0 || slo_tbt_p99_s >= 0; }
 };
 
+/// Frees `r`'s token ids, capacity included. Only the execution backend
+/// keeps a request's ids while it is live; the serving loop's request
+/// state and the metrics records hold their copy of the Request without
+/// them (DESIGN.md, "Who owns token ids").
+inline void ReleaseTokenIds(Request* r) {
+  std::vector<int32_t>().swap(r->token_ids);
+}
+
 }  // namespace aptserve

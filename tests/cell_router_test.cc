@@ -16,6 +16,7 @@
 #include "baselines/fcfs_scheduler.h"
 #include "common/env.h"
 #include "common/rng.h"
+#include "flat_fleet_reference.h"
 #include "obs/chrome_trace.h"
 #include "obs/trace_recorder.h"
 #include "serve/cell_router.h"
@@ -290,41 +291,27 @@ TEST(CellRouterTest, NumCellsOneIsBitIdenticalToFlatFleet) {
   const ModelSpec m = ModelSpec::Opt13B();
   const CostModel cm(m, ClusterSpec::ForModel(m));
   const auto trace = ConversationTrace();
-  FleetConfig flat;
-  flat.router.n_instances = 3;
-  flat.router.policy = RoutePolicy::kPrefixAffinity;
-  flat.router.block_size = 4;
-  FleetConfig hier = flat;
+  FleetConfig hier;
+  hier.router.n_instances = 3;
+  hier.router.policy = RoutePolicy::kPrefixAffinity;
+  hier.router.block_size = 4;
   hier.cells.num_cells = 1;
-  auto a_run = FleetController(flat, &cm).Run(trace, Fcfs(), CostBackends(cm),
-                                               SloSpec{5.0, 5.0});
-  auto b_run = FleetController(hier, &cm).Run(trace, Fcfs(), CostBackends(cm),
-                                               SloSpec{5.0, 5.0});
-  ASSERT_TRUE(a_run.ok()) << a_run.status().ToString();
-  ASSERT_TRUE(b_run.ok()) << b_run.status().ToString();
-  const MultiInstanceResult* a = &a_run->serve;
-  const MultiInstanceResult* b = &b_run->serve;
-
-  EXPECT_EQ(a->requests_per_instance, b->requests_per_instance);
-  EXPECT_EQ(a->combined.total_serving_time, b->combined.total_serving_time);
-  EXPECT_EQ(a->combined.slo_attainment, b->combined.slo_attainment);
-  EXPECT_EQ(a->combined.goodput_rps, b->combined.goodput_rps);
-  EXPECT_EQ(a->combined.ttfts.samples(), b->combined.ttfts.samples());
-  EXPECT_EQ(a->prefill_tokens_computed, b->prefill_tokens_computed);
-  EXPECT_EQ(a->prefill_tokens_skipped, b->prefill_tokens_skipped);
-  EXPECT_EQ(a->prefix.hits, b->prefix.hits);
-  EXPECT_EQ(a->prefix.matched_tokens, b->prefix.matched_tokens);
-  EXPECT_EQ(a->tokens_generated, b->tokens_generated);
-  // Intra-cell probe counters agree; the degenerate front tier adds no
-  // cell probes (its per-decision cost is literally zero reads).
-  EXPECT_EQ(a->route_cost.instance_probes, b->route_cost.instance_probes);
-  EXPECT_EQ(a->route_cost.mirror_nodes_walked,
-            b->route_cost.mirror_nodes_walked);
+  // The flat fleet, computed without FleetController: the flat router's
+  // shards, each served on its own loop.
+  auto flat = RunFlatFleetReference(Router(hier.router, &cm), trace, Fcfs(),
+                                    CostBackends(cm), SloSpec{5.0, 5.0});
+  auto hier_run = FleetController(hier, &cm).Run(
+      trace, Fcfs(), CostBackends(cm), SloSpec{5.0, 5.0});
+  ASSERT_TRUE(flat.ok()) << flat.status().ToString();
+  ASSERT_TRUE(hier_run.ok()) << hier_run.status().ToString();
+  const MultiInstanceResult& b = hier_run->serve;
+  ExpectEqualsFlatReference(*flat, b);
+  EXPECT_GT(b.prefix.hits, 0);  // the affinity path really shares
   // The flat code path is taken verbatim — the front tier never even
   // instantiates, so every cell counter is zero.
-  EXPECT_EQ(b->route_cost.cell_probes, 0);
-  EXPECT_EQ(b->route_cost.cell_hash_routed, 0);
-  EXPECT_EQ(b->route_cost.cell_fallback_routed, 0);
+  EXPECT_EQ(b.route_cost.cell_probes, 0);
+  EXPECT_EQ(b.route_cost.cell_hash_routed, 0);
+  EXPECT_EQ(b.route_cost.cell_fallback_routed, 0);
 }
 
 TEST(CellRouterTest, HierarchicalServeConservesRequestsAndFoldsCellStats) {

@@ -172,6 +172,91 @@ TEST(PrefixIndexTest, EvictionPeelsTreesBottomUp) {
   EXPECT_EQ(pool.num_allocated(), 0);
 }
 
+/// Inserts `tokens` with freshly allocated blocks; the caller's references
+/// are dropped unless `pin` keeps them (a live request still holding its
+/// cache). Returns the K block of each chunk.
+std::vector<BlockId> InsertOwned(BlockPool* pool, PrefixIndex* index,
+                                 const std::vector<int32_t>& tokens,
+                                 bool pin = false) {
+  const int32_t n = static_cast<int32_t>(tokens.size()) / kBlock;
+  std::vector<BlockId> k, v;
+  AllocPairs(pool, n, &k, &v);
+  index->Insert(tokens, static_cast<int32_t>(tokens.size()), k, v);
+  if (!pin) {
+    for (int32_t i = 0; i < n; ++i) pool->FreeMany({k[i], v[i]});
+  }
+  return k;
+}
+
+/// K blocks in the order EvictLru freed them: the pool's free list is LIFO
+/// and every eviction frees its K block, then its V block.
+std::vector<BlockId> EvictedKBlocks(BlockPool* pool, int32_t freed) {
+  std::vector<BlockId> popped;
+  for (int32_t i = 0; i < freed; ++i) popped.push_back(*pool->Allocate());
+  std::vector<BlockId> k;
+  for (int32_t i = freed - 1; i >= 1; i -= 2) k.push_back(popped[i]);
+  return k;
+}
+
+// The eviction sequence, pinned: a wave visits the leaves evictable when it
+// starts in least-recently-used order, skips pinned ones, and leaves the
+// interior nodes it exposes to the next wave even when they are older than
+// the wave's remaining leaves.
+TEST(PrefixIndexTest, EvictionSequenceAcrossPinnedLeavesAndWaves) {
+  BlockPool pool(64, kBlock);
+  PrefixIndex index(&pool, kBlock);
+  const auto a = Tokens(3 * kBlock, 100);                  // a1 -> a2 -> a3
+  auto c = Tokens(2 * kBlock, 100);                        // a1 -> a2 -> c3
+  const auto c3 = Tokens(kBlock, 300);
+  c.insert(c.end(), c3.begin(), c3.end());
+  const auto pinned = InsertOwned(&pool, &index, Tokens(kBlock, 400), true);
+  const auto ka = InsertOwned(&pool, &index, a);
+  const auto kc = InsertOwned(&pool, &index, c);
+  // Touch a1, a2: recency (oldest first) is now P, a3, c3, a1, a2, then b1.
+  EXPECT_EQ(index.Match(Tokens(2 * kBlock, 100), 2 * kBlock).tokens,
+            2 * kBlock);
+  const auto kb = InsertOwned(&pool, &index, Tokens(kBlock, 200));
+  ASSERT_EQ(index.num_nodes(), 6);
+
+  // Wave 1: a3, c3 (exposing a2, which is older than b1), b1. Wave 2: a2
+  // (exposing a1). Wave 3: a1. The pinned leaf P survives every wave.
+  const int32_t freed = index.EvictLru(1000);
+  EXPECT_EQ(freed, 10);
+  EXPECT_EQ(index.num_nodes(), 1);
+  EXPECT_EQ(index.stats().evicted_blocks, 10);
+  EXPECT_EQ(EvictedKBlocks(&pool, freed),
+            (std::vector<BlockId>{ka[2], kc[2], kb[0], ka[1], ka[0]}));
+  EXPECT_TRUE(index.Match(Tokens(kBlock, 400), kBlock).hit());
+  EXPECT_EQ(pool.RefCount(pinned[0]), 2);
+}
+
+// A call that stops at its bound mid-wave leaves the nodes it exposed as
+// ordinary leaves for the next call, in recency order.
+TEST(PrefixIndexTest, EvictionResumesInRecencyOrderAcrossCalls) {
+  BlockPool pool(64, kBlock);
+  PrefixIndex index(&pool, kBlock);
+  const auto a = Tokens(3 * kBlock, 100);
+  auto c = Tokens(2 * kBlock, 100);
+  const auto c3 = Tokens(kBlock, 300);
+  c.insert(c.end(), c3.begin(), c3.end());
+  const auto ka = InsertOwned(&pool, &index, a);
+  const auto kc = InsertOwned(&pool, &index, c);
+  index.Match(Tokens(2 * kBlock, 100), 2 * kBlock);
+  const auto kb = InsertOwned(&pool, &index, Tokens(kBlock, 200));
+
+  EXPECT_EQ(index.EvictLru(4), 4);  // a3, c3; a2 is exposed
+  EXPECT_FALSE(pool.IsAllocated(ka[2]));
+  EXPECT_FALSE(pool.IsAllocated(kc[2]));
+  EXPECT_TRUE(pool.IsAllocated(ka[1]));
+  EXPECT_TRUE(pool.IsAllocated(kb[0]));
+  // The next call sees a2 (touched before b1 was inserted) first.
+  EXPECT_EQ(index.EvictLru(2), 2);
+  EXPECT_FALSE(pool.IsAllocated(ka[1]));
+  EXPECT_TRUE(pool.IsAllocated(kb[0]));
+  EXPECT_TRUE(pool.IsAllocated(ka[0]));
+  EXPECT_EQ(index.num_nodes(), 2);
+}
+
 TEST(PrefixIndexTest, ClearReleasesEverything) {
   BlockPool pool(16, kBlock);
   {

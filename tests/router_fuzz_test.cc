@@ -22,6 +22,7 @@
 #include "baselines/fcfs_scheduler.h"
 #include "common/env.h"
 #include "common/rng.h"
+#include "flat_fleet_reference.h"
 #include "serve/cost_model_backend.h"
 #include "serve/fleet_controller.h"
 #include "serve/router.h"
@@ -349,14 +350,17 @@ TEST(RouterFuzzTest, HierarchicalFleetInvariants) {
     for (int32_t num_cells : {1, 4}) {
       SCOPED_TRACE("hier seed " + std::to_string(seed) + " cells " +
                    std::to_string(num_cells));
-      auto run = [&](int32_t threads) {
+      auto config = [&](int32_t threads) {
         FleetConfig cfg;
         cfg.router.n_instances = 8;
         cfg.router.policy = RoutePolicy::kPrefixAffinity;
         cfg.router.block_size = 4;
         cfg.cells.num_cells = num_cells;
         cfg.runtime.num_threads = threads;
-        FleetController controller(cfg, &cm);
+        return cfg;
+      };
+      auto run = [&](int32_t threads) {
+        FleetController controller(config(threads), &cm);
         auto result =
             controller.Run(trace, make_scheduler, make_backend, slo);
         EXPECT_TRUE(result.ok()) << result.status().ToString();
@@ -418,34 +422,14 @@ TEST(RouterFuzzTest, HierarchicalFleetInvariants) {
                 threaded.serve.route_cost.cell_probes);
       EXPECT_EQ(serial.fleet.instance_cell, threaded.fleet.instance_cell);
 
-      // num_cells=1 is bit-for-bit the flat fleet.
+      // num_cells=1 is bit-for-bit the flat fleet, computed without
+      // FleetController (the flat router's shards on their own loops).
       if (num_cells == 1) {
-        FleetConfig fc;
-        fc.router.n_instances = 8;
-        fc.router.policy = RoutePolicy::kPrefixAffinity;
-        fc.router.block_size = 4;
-        fc.runtime.num_threads = 1;
-        auto flat_run = FleetController(fc, &cm).Run(trace, make_scheduler,
-                                                      make_backend, slo);
-        ASSERT_TRUE(flat_run.ok()) << flat_run.status().ToString();
-        const MultiInstanceResult* flat_result = &flat_run->serve;
-        EXPECT_EQ(flat_result->requests_per_instance,
-                  serial.serve.requests_per_instance);
-        EXPECT_EQ(flat_result->combined.total_serving_time,
-                  serial.serve.combined.total_serving_time);
-        EXPECT_EQ(flat_result->combined.goodput_rps,
-                  serial.serve.combined.goodput_rps);
-        EXPECT_EQ(flat_result->prefill_tokens_computed,
-                  serial.serve.prefill_tokens_computed);
-        EXPECT_EQ(flat_result->prefill_tokens_skipped,
-                  serial.serve.prefill_tokens_skipped);
-        EXPECT_EQ(flat_result->prefix.hits, serial.serve.prefix.hits);
-        EXPECT_EQ(flat_result->tokens_generated,
-                  serial.serve.tokens_generated);
-        EXPECT_EQ(flat_result->route_cost.instance_probes,
-                  serial.serve.route_cost.instance_probes);
-        EXPECT_EQ(flat_result->route_cost.mirror_nodes_walked,
-                  serial.serve.route_cost.mirror_nodes_walked);
+        auto flat = RunFlatFleetReference(Router(config(1).router, &cm),
+                                          trace, make_scheduler,
+                                          make_backend, slo);
+        ASSERT_TRUE(flat.ok()) << flat.status().ToString();
+        ExpectEqualsFlatReference(*flat, serial.serve);
       }
     }
   }
