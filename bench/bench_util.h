@@ -21,6 +21,7 @@
 #include "common/json.h"
 #include "core/apt_sarathi_scheduler.h"
 #include "core/apt_scheduler.h"
+#include "core/scheduler_registry.h"
 #include "serve/cost_model_backend.h"
 #include "serve/serving_loop.h"
 #include "workload/trace.h"
@@ -168,42 +169,16 @@ inline void RecordReport(const std::string& scheduler, double rate, double cv,
   BenchJson::Instance().AddEntry(std::move(e));
 }
 
-/// Named scheduler factory used by every bench.
+/// Named scheduler factory used by every bench (core/scheduler_registry.h);
+/// aborts on an unknown name.
 inline std::unique_ptr<Scheduler> MakeScheduler(const std::string& kind,
                                                 const SloSpec& slo) {
-  if (kind == "vLLM") return std::make_unique<FcfsScheduler>();
-  if (kind == "Random") return std::make_unique<RandomScheduler>();
-  if (kind == "Sarathi") return std::make_unique<SarathiScheduler>();
-  if (kind == "FastGen") return std::make_unique<FastGenScheduler>();
-  if (kind == "FCFS-hybrid") {
-    FcfsConfig c;
-    c.allow_hidden_fallback = true;
-    return std::make_unique<FcfsScheduler>(c);
+  auto sched = MakeSchedulerByName(kind, slo);
+  if (!sched.ok()) {
+    std::fprintf(stderr, "%s\n", sched.status().ToString().c_str());
+    std::abort();
   }
-  if (kind == "Apt") {
-    AptConfig c;
-    c.slo = slo;
-    return std::make_unique<AptScheduler>(c);
-  }
-  if (kind == "Apt*") {
-    AptConfig c;
-    c.slo = slo;
-    c.violation_decay = 0.4;
-    return std::make_unique<AptScheduler>(c);
-  }
-  if (kind == "Apt-KVonly") {
-    AptConfig c;
-    c.slo = slo;
-    c.enable_hidden = false;
-    return std::make_unique<AptScheduler>(c);
-  }
-  if (kind == "Apt-S") {
-    AptSarathiConfig c;
-    c.slo = slo;
-    return std::make_unique<AptSarathiScheduler>(c);
-  }
-  std::fprintf(stderr, "unknown scheduler kind: %s\n", kind.c_str());
-  std::abort();
+  return std::move(sched).value();
 }
 
 struct RunSpec {

@@ -5,13 +5,8 @@
 #include <cstdio>
 #include <mutex>
 
-#include "baselines/fastgen_scheduler.h"
-#include "baselines/fcfs_scheduler.h"
-#include "baselines/random_scheduler.h"
-#include "baselines/sarathi_scheduler.h"
 #include "bench/sweep/fs_util.h"
-#include "core/apt_sarathi_scheduler.h"
-#include "core/apt_scheduler.h"
+#include "core/scheduler_registry.h"
 #include "runtime/runtime_config.h"
 #include "runtime/thread_pool.h"
 #include "serve/cost_model_backend.h"
@@ -166,37 +161,6 @@ Status WriteJsonFile(const std::string& path, const json::JsonValue& value) {
 }
 
 }  // namespace
-
-StatusOr<std::unique_ptr<Scheduler>> MakeSchedulerByName(
-    const std::string& kind, const SloSpec& slo) {
-  if (kind == "vLLM") return std::unique_ptr<Scheduler>(
-      std::make_unique<FcfsScheduler>());
-  if (kind == "Random")
-    return std::unique_ptr<Scheduler>(std::make_unique<RandomScheduler>());
-  if (kind == "Sarathi")
-    return std::unique_ptr<Scheduler>(std::make_unique<SarathiScheduler>());
-  if (kind == "FastGen")
-    return std::unique_ptr<Scheduler>(std::make_unique<FastGenScheduler>());
-  if (kind == "FCFS-hybrid") {
-    FcfsConfig c;
-    c.allow_hidden_fallback = true;
-    return std::unique_ptr<Scheduler>(std::make_unique<FcfsScheduler>(c));
-  }
-  if (kind == "Apt" || kind == "Apt*" || kind == "Apt-KVonly") {
-    AptConfig c;
-    c.slo = slo;
-    if (kind == "Apt*") c.violation_decay = 0.4;
-    if (kind == "Apt-KVonly") c.enable_hidden = false;
-    return std::unique_ptr<Scheduler>(std::make_unique<AptScheduler>(c));
-  }
-  if (kind == "Apt-S") {
-    AptSarathiConfig c;
-    c.slo = slo;
-    return std::unique_ptr<Scheduler>(
-        std::make_unique<AptSarathiScheduler>(c));
-  }
-  return Status::InvalidArgument("unknown scheduler kind: " + kind);
-}
 
 StatusOr<json::JsonValue> ExecuteCell(const RunCell& cell) {
   APT_ASSIGN_OR_RETURN(std::vector<Request> trace, BuildCellTrace(cell));

@@ -10,15 +10,12 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/sweep/config.h"
 #include "common/json.h"
 #include "common/status.h"
-#include "sim/metrics.h"
-#include "sim/scheduler.h"
 
 namespace aptserve {
 namespace sweep {
@@ -65,12 +62,6 @@ StatusOr<SweepRunResult> RunSweep(const SweepConfig& config,
 /// Executes one cell in-process and returns its result document. Exposed
 /// for sweep_test so cell metrics can be checked without a directory tree.
 StatusOr<json::JsonValue> ExecuteCell(const RunCell& cell);
-
-/// Status-returning scheduler factory over the bench-suite names
-/// (bench_util's MakeScheduler aborts on unknown kinds; config-driven
-/// sweeps need a graceful error instead).
-StatusOr<std::unique_ptr<Scheduler>> MakeSchedulerByName(
-    const std::string& kind, const SloSpec& slo);
 
 }  // namespace sweep
 }  // namespace aptserve

@@ -69,3 +69,4 @@
 #include "core/length_predictor.h"
 #include "core/quantification.h"
 #include "core/runtime_tracker.h"
+#include "core/scheduler_registry.h"

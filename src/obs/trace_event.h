@@ -4,9 +4,11 @@
 // time (obs/chrome_trace.h).
 //
 // Timestamp frame: events carry whatever clock the emitting layer runs on —
-// virtual seconds under the simulator/FleetController, monotonic wall
-// seconds under RunAsync. Exporters never mix frames because a recorder is
-// only ever attached to one run.
+// virtual seconds under the simulator and FleetController::Run, monotonic
+// wall seconds under FleetController::RunAsync (router- and cell-track
+// events there are stamped at each request's release instant, arrival /
+// replay_speedup). Exporters never mix frames because a recorder is only
+// ever attached to one run.
 #pragma once
 
 #include <cstdint>
@@ -48,8 +50,6 @@ enum class TraceOp : uint8_t {
   kMigrationExport,  ///< flow begin: request extracted (a0=cached tokens)
   kMigrationImport,  ///< flow end: request received (a0=cache restored 0/1,
                      ///< a1=copied tokens)
-  kShed,             ///< instant: async worker shed a queued request
-                     ///< (a0=queue depth at shed)
   kCompletion,       ///< instant: final token (a0=ttft, a1=e2e seconds)
   kScale,            ///< instant on the controller track (id=instance,
                      ///< a0 kind: 0=add, 1=live, 2=drain, 3=retire)

@@ -1,10 +1,10 @@
 // ThreadPool: the fork-join parallel-execution primitive of the runtime
 // layer, a ParallelFor over an index range. Kernels (engine/ops), the
-// engine's batch executor and the multi-instance fleet all run on it. The
-// async serving mode (serve/async_serving.h) additionally runs long-lived
-// per-instance worker threads that communicate over BoundedQueue
-// (runtime/bounded_queue.h); each such worker drives its own engine, whose
-// intra-op parallelism still comes from this pool.
+// engine's batch executor and the virtual-time fleet all run on it. The
+// wall-clock fleet (serve/async_serving.h) steps each instance on its own
+// thread instead, because the pool would serialize instances beyond its
+// size; each such thread drives its own engine, whose intra-op parallelism
+// still comes from this pool.
 //
 // Design points:
 //   * The calling thread participates, so a pool of N threads spawns N-1

@@ -1,96 +1,75 @@
-// Async wall-clock serving: continuous batching without epoch barriers.
+// Wall-clock serving: FleetController::RunAsync.
 //
-// The deterministic modes advance the whole fleet on virtual-time window
-// barriers (FleetController interleaves per-instance epochs in one loop).
-// This mode turns the same machinery into a real server: one long-lived
-// worker thread per instance owns that instance's ServingLoopState and
-// spins its iteration loop continuously, pulling newly arrived requests
-// from a bounded MPSC arrival queue and admitting them mid-run through the
-// Inject seam — no barrier anywhere on the hot path. A feeder thread
-// replays the trace in real time (scaled by `replay_speedup`), routing
-// each request at its wall release instant through the same routing code
-// as the virtual static fleet (Router::RouteOne, or the CellRouter front
-// tier plus RouteOneLive when cells.num_cells > 1), in the same arrival
-// order — so routing decisions are bit-identical across modes. Completions
-// and queue-shedding migrations flow back to the controller over the same
-// bounded-queue fabric (an MPSC event queue), and cache-carrying
-// MigratedRequests hop between workers as queue messages.
+// RunAsync is the virtual-time fleet loop (serve/fleet_controller.h) run
+// against a runtime::MonotonicClock instead of the virtual clock. Windows,
+// routing and controller ticks are the same code in both modes; only the
+// stepping between two window barriers differs. In wall mode each live
+// instance steps its own ServingLoopState on its own thread for the
+// window: it injects each routed request once the wall clock passes the
+// request's release instant (arrival / replay_speedup), syncs the loop's
+// virtual clock to wall × replay_speedup before every Step, and sleeps while
+// it is drained and its next release has not come. The threads join at the
+// window barrier, where the controller tick (warmups, scaling votes, the
+// migration planner, retirements) runs exactly as in Run. A static fleet is
+// one infinite window, so it has no barrier: every instance serves
+// continuously until the trace drains.
 //
 // Determinism contract (see DESIGN.md "Async serving"): the virtual-time
-// mode stays the pinned bit-for-bit reference; the async mode guarantees
+// mode stays the pinned bit-for-bit reference; the wall mode guarantees
 // *token-stream identity* — every request's generated token sequence is
 // bit-identical to the virtual run of the same trace — while its timing
 // (and therefore batch composition) is real and nondeterministic. This
 // holds because (a) per-position logits are a pure function of the
 // request's own tokens, (b) sampling is counter-based per (seed, request,
-// position) with no shared RNG stream, and (c) routing replays the exact
-// virtual-mode assignment. The differential test in async_serving_test.cc
-// enforces it across seeds, thread counts, and sampling modes.
+// position) with no shared RNG stream, and (c) routing reads only the trace
+// and the live set, so a static fleet (cells included) routes exactly as
+// the virtual run does. On an elastic fleet the scaling votes and the
+// planner's moves depend on wall timing, so a request may be served by
+// another instance than in the virtual run: instances must share weights,
+// and the trace must carry its token ids (EnsureTokenIds), because
+// InferenceBackend's length-only prompt stream follows each instance's
+// registration order.
 //
-// Wall-clock TTFT/TBT are measured for real against a monotonic Clock
-// (runtime/clock.h) threaded through the serving loops' wall seam. The
-// clock starts once every instance is built and started, so instance
-// set-up counts toward neither latency nor the wall-time valve. The result
-// carries log-bucketed latency histograms (p50/p95/p99) and
-// sustained-throughput readouts next to the usual virtual-frame report.
+// Wall-clock TTFT/TBT are measured for real against the monotonic clock,
+// threaded through the serving loops' wall seam. The clock starts once the
+// initial fleet is built and started, so instance set-up counts toward
+// neither latency nor the wall-time valve. The result carries log-bucketed
+// latency histograms (p50/p95/p99) and sustained-throughput readouts next
+// to the usual virtual-frame report and the fleet metrics (planner
+// migrations, scale events).
 //
 // Observability comes from FleetConfig::trace / FleetConfig::metrics, as in
-// the virtual mode: workers emit lifecycle events on per-instance tracks
-// (wall-clock frame), the feeder routes through a traced router state
-// stamped by the replay clock, and sheds carry flow arrows to their
-// re-route. The registry also gains per-instance arrival-queue high-water
-// gauges and shed counters.
+// the virtual mode: instances emit lifecycle events on their own tracks in
+// the wall frame, router-track events are stamped with each request's
+// release instant, and controller-track scale events with the instant
+// their tick was due.
 #pragma once
 
-#include <cstdint>
-#include <vector>
-
-#include "common/status.h"
 #include "serve/fleet_controller.h"
-#include "serve/router.h"
-#include "serve/serving_loop.h"
 #include "sim/metrics.h"
-#include "workload/request.h"
 
 namespace aptserve {
 
-/// Per-instance arrival queue capacity: the feeder's Push blocks when an
-/// instance is this far behind (backpressure instead of unbounded RAM).
-inline constexpr size_t kAsyncArrivalQueueCapacity = 256;
-
 struct AsyncServingConfig {
   /// Trace replay acceleration: a request with virtual arrival t is
-  /// released to the router at wall time t / replay_speedup after start.
+  /// released at wall time t / replay_speedup after the clock starts, and
+  /// a window ending at trace time T ends at wall time T / replay_speedup.
   /// 1.0 replays in real time; large values stress continuous batching.
+  /// Must be finite and > 0.
   double replay_speedup = 1.0;
-  /// When > 0: a worker whose waiting queue exceeds this depth extracts
-  /// one migratable request (cache state included) and ships it to the
-  /// currently coolest instance over the queue fabric — live load shedding
-  /// on the wall-clock path.
-  int32_t shed_queue_depth = 0;
-  /// Safety valve: abort when the run exceeds this much wall time.
+  /// Safety valve: fail when the run exceeds this much wall time. Must be
+  /// finite and > 0.
   double max_wall_seconds = 300.0;
 };
 
-struct AsyncServingResult {
-  /// The usual fleet result, assembled from the per-instance serving
-  /// loops after shutdown (virtual-frame SLO report, prefix stats, ...).
-  MultiInstanceResult serve;
-  /// Real-time latency/throughput readout (arrival to token, measured
-  /// against the monotonic clock; per-request history survives shedding
+struct AsyncServingResult : FleetResult {
+  /// Real-time latency/throughput readout (release to token, measured
+  /// against the monotonic clock; per-request history survives planner
   /// migrations).
   WallLatencyReport wall;
   /// Wall seconds from the clock's start (after instance set-up) to full
   /// drain.
   double wall_duration_s = 0.0;
-  /// Shedding migrations executed over the queue fabric.
-  int64_t shed_migrations = 0;
-  /// Deepest any instance's arrival queue ever got (backpressure witness).
-  size_t arrival_queue_high_water = 0;
-  /// Per-instance backpressure witnesses (index = instance id).
-  std::vector<size_t> arrival_queue_high_water_per_instance;
-  /// Shed migrations originating from each instance.
-  std::vector<int64_t> sheds_per_instance;
 };
 
 }  // namespace aptserve

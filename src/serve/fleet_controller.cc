@@ -1,39 +1,90 @@
 #include "serve/fleet_controller.h"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cmath>
+#include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "common/logging.h"
+#include "obs/trace_recorder.h"
+#include "runtime/clock.h"
 #include "runtime/thread_pool.h"
-#include "serve/fleet_internal.h"
+#include "serve/async_serving.h"
 
 namespace aptserve {
 
-namespace fleet_internal {
+namespace {
 
-Status StartInstance(const FleetConfig& config, int32_t id,
-                     const SchedulerFactory& make_scheduler,
-                     const BackendFactory& make_backend, const SloSpec& slo,
-                     InstanceStack* out) {
-  out->scheduler = make_scheduler();
-  APT_ASSIGN_OR_RETURN(out->backend, make_backend(id));
-  out->loop = std::make_unique<ServingLoopState>(out->backend.get(),
-                                                 config.loop);
-  if (config.trace != nullptr || config.metrics != nullptr) {
-    out->loop->AttachObservability(config.trace != nullptr
-                                       ? config.trace->MakeSink(id)
-                                       : obs::TraceSink(),
-                                   config.metrics, id);
-  }
-  return out->loop->Start({}, out->scheduler.get(), slo);
+/// Longest a wall-clock instance thread sleeps before re-reading the clock
+/// for its next release instant, the window end or the wall-time valve.
+constexpr double kMaxNapSeconds = 0.001;
+
+/// Sleeps toward wall instant `until` on `clock`, at most kMaxNapSeconds.
+void NapToward(const runtime::Clock& clock, double until) {
+  const double lag = std::min(until - clock.Now(), kMaxNapSeconds);
+  if (lag > 0) std::this_thread::sleep_for(std::chrono::duration<double>(lag));
 }
 
+/// Live arrival routing against the fleet's routable instances: the flat
+/// Router::RouteOne, or (cells.num_cells > 1) the consistent-hash CellRouter
+/// front tier followed by RouteOneLive over the chosen cell's members.
+/// Requests are fed in arrival order and every decision reads only the
+/// trace and the live set, so both clocks route a trace identically.
+class ArrivalRouting {
+ public:
+  /// `capacity`: instance ids the router state addresses up front (it grows
+  /// with AddInstance). Router- and cell-track trace events are stamped at
+  /// arrival / `replay_speedup`: the release instant on the wall clock.
+  ArrivalRouting(const Router& router, const FleetConfig& config,
+                 int32_t capacity, double replay_speedup);
+  ArrivalRouting(const ArrivalRouting&) = delete;
+  ArrivalRouting& operator=(const ArrivalRouting&) = delete;
+
+  /// Registers the next instance id in the least-populated cell (ties to
+  /// the lowest cell id: the initial fleet round-robins across cells).
+  void AddInstance();
+  /// Removes retired instance `id` from its cell's population.
+  void RetireInstance(int32_t id) { --alive_per_cell_[instance_cell_[id]]; }
+  const std::vector<int32_t>& instance_cell() const { return instance_cell_; }
+
+  /// Sets the routable instances (live[id] != 0) until the next call.
+  void SetLive(const std::vector<uint8_t>& live);
+
+  /// Routes `req` (trace position `index`). Returns the instance, with
+  /// `*routed` a copy of `req` carrying the admission verdict, or
+  /// RouteDecision::kRejected.
+  int32_t Route(const Request& req, size_t index, Request* routed);
+
+  int64_t rejected() const { return rejected_; }
+  int64_t deprioritized() const { return deprioritized_; }
+  /// Decision-cost counters, the cell tier's folded into the cell_* fields.
+  RouteCostStats CostStats() const;
+
+ private:
+  const Router& router_;
+  RouterState state_;
+  const bool hierarchical_;
+  const double replay_speedup_;
+  CellRouter cells_;
+  std::vector<obs::TraceSink> cell_trace_;
+  std::vector<int32_t> instance_cell_;
+  std::vector<int32_t> alive_per_cell_;
+  std::vector<uint8_t> live_mask_;
+  std::vector<std::vector<int32_t>> cell_live_ids_;
+  int64_t rejected_ = 0;
+  int64_t deprioritized_ = 0;
+};
+
 ArrivalRouting::ArrivalRouting(const Router& router, const FleetConfig& config,
-                               int32_t capacity, const runtime::Clock* clock)
+                               int32_t capacity, double replay_speedup)
     : router_(router),
       state_(router.MakeState(capacity)),
       hierarchical_(config.cells.num_cells > 1),
+      replay_speedup_(replay_speedup),
       cells_(config.cells, router.config().block_size),
       alive_per_cell_(config.cells.num_cells, 0),
       cell_live_ids_(config.cells.num_cells) {
@@ -41,7 +92,7 @@ ArrivalRouting::ArrivalRouting(const Router& router, const FleetConfig& config,
   // no sink exists and every routing hook is a no-op.
   if (config.trace == nullptr) return;
   router_.AttachTrace(&state_, config.trace->MakeSink(obs::kRouterTrack),
-                      clock);
+                      replay_speedup);
   if (hierarchical_) {
     for (int32_t c = 0; c < config.cells.num_cells; ++c) {
       cell_trace_.push_back(config.trace->MakeSink(obs::kCellTrackBase - c));
@@ -101,10 +152,12 @@ int32_t ArrivalRouting::Route(const Request& req, size_t index,
       // Pre-commit, so the span/score read the wait this request actually
       // saw, not one inflated by its own service time.
       const double wait = cells_.Outstanding(cell, req.arrival);
-      cell_trace_[cell].Span(obs::TraceOp::kQueueWait, req.arrival, wait,
-                             req.id, static_cast<double>(inst));
-      cell_trace_[cell].Instant(obs::TraceOp::kRouteDecision, req.arrival,
-                                req.id, static_cast<double>(inst), wait,
+      const double ts = req.arrival / replay_speedup_;
+      cell_trace_[cell].Span(obs::TraceOp::kQueueWait, ts,
+                             wait / replay_speedup_, req.id,
+                             static_cast<double>(inst));
+      cell_trace_[cell].Instant(obs::TraceOp::kRouteDecision, ts, req.id,
+                                static_cast<double>(inst), wait,
                                 static_cast<double>(cell));
     }
     cells_.Commit(cell, req.arrival, router_.EstimatedServiceSeconds(req),
@@ -129,6 +182,12 @@ RouteCostStats ArrivalRouting::CostStats() const {
   return out;
 }
 
+/// Finishes every loop that saw a request (an idle instance reports all
+/// zeros) and assembles the fleet result: per-instance and summed prefill
+/// and prefix accounting, the merged report with rejections folded in, and
+/// the routing cost. Exports the aptserve_router_* / aptserve_cell_*
+/// counters to `metrics` when set, and merges each instance's wall-clock
+/// metrics into `wall`.
 StatusOr<MultiInstanceResult> AssembleResult(
     const std::vector<ServingLoopState*>& loops, const ArrivalRouting& routing,
     obs::MetricsRegistry* metrics, WallClockMetrics* wall) {
@@ -153,7 +212,7 @@ StatusOr<MultiInstanceResult> AssembleResult(
     result.prefill_tokens_skipped += r.prefill_tokens_skipped;
     result.tokens_generated += r.tokens_generated;
     result.prefix += r.prefix;
-    if (wall != nullptr) wall->Merge(r.wall_metrics);
+    wall->Merge(r.wall_metrics);
   }
   result.combined =
       MergeReports(result.per_instance, result.requests_per_instance);
@@ -183,23 +242,31 @@ StatusOr<MultiInstanceResult> AssembleResult(
   return result;
 }
 
-}  // namespace fleet_internal
-
-namespace {
-
-/// One serving instance of the elastic fleet.
-struct Instance : fleet_internal::InstanceStack {
+/// One serving instance of the fleet: its own scheduler, backend and loop.
+struct Instance {
   enum class State { kWarming, kLive, kDraining, kRetired };
+  std::unique_ptr<Scheduler> scheduler;
+  std::unique_ptr<ExecutionBackend> backend;
+  std::unique_ptr<ServingLoopState> loop;
   State state = State::kLive;
   int32_t id = 0;
   double add_time = 0.0;
   double live_at = 0.0;
   double retire_time = -1.0;
   Status status = Status::OK();
+  /// Wall clock only: this window's routed requests, injected at their
+  /// release instants by the instance's own thread.
+  std::vector<Request> inbox;
 
   bool Alive() const { return state != State::kRetired; }
   bool Routable() const { return state == State::kLive; }
 };
+
+Status IterationCapError(const ServingLoopState& loop) {
+  return Status::Internal("serving loop hit the iteration cap with " +
+                          std::to_string(loop.NumUnfinished()) +
+                          " unfinished requests");
+}
 
 }  // namespace
 
@@ -222,11 +289,39 @@ FleetController::FleetController(const FleetConfig& config,
 StatusOr<FleetResult> FleetController::Run(
     const std::vector<Request>& trace, const SchedulerFactory& make_scheduler,
     const BackendFactory& make_backend, const SloSpec& slo) {
+  APT_ASSIGN_OR_RETURN(AsyncServingResult r,
+                       Serve(trace, make_scheduler, make_backend, slo,
+                             /*async=*/nullptr));
+  return FleetResult(std::move(r));
+}
+
+StatusOr<AsyncServingResult> FleetController::RunAsync(
+    const std::vector<Request>& trace, const SchedulerFactory& make_scheduler,
+    const BackendFactory& make_backend, const SloSpec& slo,
+    const AsyncServingConfig& async) {
+  const auto positive = [](double v) { return std::isfinite(v) && v > 0.0; };
+  if (!positive(async.replay_speedup) || !positive(async.max_wall_seconds)) {
+    return Status::InvalidArgument(
+        "wall-clock serving needs a finite, positive replay_speedup and "
+        "max_wall_seconds");
+  }
+  return Serve(trace, make_scheduler, make_backend, slo, &async);
+}
+
+StatusOr<AsyncServingResult> FleetController::Serve(
+    const std::vector<Request>& trace, const SchedulerFactory& make_scheduler,
+    const BackendFactory& make_backend, const SloSpec& slo,
+    const AsyncServingConfig* async) {
   const bool elastic = config_.IsElastic();
   const int32_t initial_n = router_.config().n_instances;
   const int32_t max_n = elastic ? config_.MaxInstances() : initial_n;
+  // Wall clock: trace time runs at `speedup` × wall time. The clock starts
+  // once the initial fleet is built, so set-up is not serving time.
+  const bool wall = async != nullptr;
+  const double speedup = wall ? async->replay_speedup : 1.0;
+  std::optional<runtime::MonotonicClock> clock;
 
-  FleetResult out;
+  AsyncServingResult out;
   FleetMetrics& fm = out.fleet;
   std::vector<std::unique_ptr<Instance>> fleet;
   fleet.reserve(max_n);
@@ -241,16 +336,17 @@ StatusOr<FleetResult> FleetController::Run(
   // Hierarchical (fleet-of-fleets) topology: the consistent-hash front
   // tier picks a cell, the configured policy routes within it. num_cells
   // == 1 takes the flat path untouched (bit-identical to pre-cell runs).
-  fleet_internal::ArrivalRouting routing(router_, config_, max_n,
-                                         /*clock=*/nullptr);
+  ArrivalRouting routing(router_, config_, max_n, speedup);
   const std::vector<int32_t>& instance_cell = routing.instance_cell();
   fm.num_cells = config_.cells.num_cells;
 
+  // Scale events carry trace time; their trace marks are stamped in the
+  // run's clock frame (t / speedup: the instant the tick was due).
   const auto record_event = [&](double t, int32_t id,
                                 FleetScaleEvent::Kind kind) {
     fm.scale_events.push_back(FleetScaleEvent{t, id, kind});
     if (ctl_trace) {
-      ctl_trace.Instant(obs::TraceOp::kScale, t, id,
+      ctl_trace.Instant(obs::TraceOp::kScale, t / speedup, id,
                         static_cast<double>(static_cast<int>(kind)));
     }
   };
@@ -264,8 +360,18 @@ StatusOr<FleetResult> FleetController::Run(
     auto inst = std::make_unique<Instance>();
     inst->id = id;
     routing.AddInstance();
-    APT_RETURN_NOT_OK(fleet_internal::StartInstance(
-        config_, id, make_scheduler, make_backend, slo, inst.get()));
+    inst->scheduler = make_scheduler();
+    APT_ASSIGN_OR_RETURN(inst->backend, make_backend(id));
+    inst->loop = std::make_unique<ServingLoopState>(inst->backend.get(),
+                                                    config_.loop);
+    if (config_.trace != nullptr || config_.metrics != nullptr) {
+      inst->loop->AttachObservability(config_.trace != nullptr
+                                          ? config_.trace->MakeSink(id)
+                                          : obs::TraceSink(),
+                                      config_.metrics, id);
+    }
+    APT_RETURN_NOT_OK(inst->loop->Start({}, inst->scheduler.get(), slo));
+    if (clock) inst->loop->AttachWallClock(&*clock);
     inst->add_time = t;
     inst->live_at = cold ? t + config_.instance_warmup_s : t;
     inst->state = cold ? Instance::State::kWarming : Instance::State::kLive;
@@ -281,6 +387,10 @@ StatusOr<FleetResult> FleetController::Run(
 
   for (int32_t i = 0; i < initial_n; ++i) {
     APT_RETURN_NOT_OK(spawn(0.0, /*cold=*/false));
+  }
+  if (wall) {
+    clock.emplace();
+    for (const auto& inst : fleet) inst->loop->AttachWallClock(&*clock);
   }
 
   // Live migration of one waiting request, cache state included. The
@@ -500,11 +610,12 @@ StatusOr<FleetResult> FleetController::Run(
     return Status::OK();
   };
 
-  // Fleet thread pool: instances step independently between barriers.
+  // Fleet thread pool: in virtual time, instances step independently
+  // between barriers.
   const int32_t threads =
       std::min(config_.runtime.ResolvedNumThreads(), max_n);
   std::unique_ptr<runtime::ThreadPool> pool;
-  if (threads > 1) {
+  if (!wall && threads > 1) {
     RuntimeConfig fleet_runtime = config_.runtime;
     fleet_runtime.num_threads = threads;
     pool = std::make_unique<runtime::ThreadPool>(fleet_runtime);
@@ -515,10 +626,7 @@ StatusOr<FleetResult> FleetController::Run(
     while (inst.loop->now() < t_end) {
       if (inst.loop->AllServed()) break;  // parked; the cap cannot apply
       if (inst.loop->iterations() >= config_.loop.max_iterations) {
-        inst.status = Status::Internal(
-            "serving loop hit the iteration cap with " +
-            std::to_string(inst.loop->NumUnfinished()) +
-            " unfinished requests");
+        inst.status = IterationCapError(*inst.loop);
         return;
       }
       auto progress = inst.loop->Step();
@@ -527,6 +635,55 @@ StatusOr<FleetResult> FleetController::Run(
         return;
       }
       if (*progress == ServingLoopState::Progress::kDrained) break;
+    }
+  };
+
+  const auto valve = [&]() -> Status {
+    if (clock->Now() <= async->max_wall_seconds) return Status::OK();
+    return Status::Internal("wall-clock serving exceeded the wall-time valve (" +
+                            std::to_string(async->max_wall_seconds) + "s)");
+  };
+  // Wall clock: the instance's own thread for one window. It injects each
+  // routed request once the clock passes its release instant, syncs the
+  // loop's virtual clock before every Step, sleeps while drained with a
+  // release still to come, and stops when the window ends (injecting what
+  // is left, all of it inside the window) or when it has drained with
+  // nothing left to inject. A busy instance takes at least one Step per
+  // window, so the fleet progresses even when windows open late. The first
+  // failure stops every thread.
+  std::atomic<bool> stop{false};
+  const auto step_wall = [&](Instance& inst, double window_end) {
+    ServingLoopState& loop = *inst.loop;
+    const auto fail = [&](Status s) {
+      inst.status = std::move(s);
+      stop.store(true, std::memory_order_relaxed);
+    };
+    size_t next = 0;
+    while (!stop.load(std::memory_order_relaxed)) {
+      const double now = clock->Now();
+      const bool window_over = now * speedup >= window_end;
+      for (; next < inst.inbox.size(); ++next) {
+        const Request& r = inst.inbox[next];
+        const double release = r.arrival / speedup;
+        if (!window_over && release > now) break;
+        if (Status s = loop.Inject(r, r.arrival, release); !s.ok()) {
+          return fail(std::move(s));
+        }
+      }
+      if (Status s = valve(); !s.ok()) return fail(std::move(s));
+      if (loop.AllServed()) {
+        if (window_over || next == inst.inbox.size()) return;
+        NapToward(*clock, inst.inbox[next].arrival / speedup);
+        continue;
+      }
+      if (loop.iterations() >= config_.loop.max_iterations) {
+        return fail(IterationCapError(loop));
+      }
+      loop.SyncClock(now * speedup);
+      if (auto progress = loop.Step(); !progress.ok()) {
+        return fail(progress.status());
+      }
+      if (window_over) return;
     }
   };
 
@@ -554,7 +711,9 @@ StatusOr<FleetResult> FleetController::Run(
            trace[next_route].arrival < window_end) {
       const int32_t inst =
           routing.Route(trace[next_route], next_route, &routed);
-      if (inst != RouteDecision::kRejected) {
+      if (inst != RouteDecision::kRejected && wall) {
+        fleet[inst]->inbox.push_back(std::move(routed));
+      } else if (inst != RouteDecision::kRejected) {
         APT_RETURN_NOT_OK(fleet[inst]->loop->Inject(routed, routed.arrival));
       }
       ++next_route;
@@ -562,7 +721,26 @@ StatusOr<FleetResult> FleetController::Run(
 
     // Epochs: every instance advances to the window barrier.
     const int32_t n_now = static_cast<int32_t>(fleet.size());
-    if (pool != nullptr) {
+    if (wall) {
+      {
+        std::vector<std::thread> running;
+        // Joins on every exit from this scope, a failed thread start too.
+        struct JoinAll {
+          std::vector<std::thread>& threads;
+          ~JoinAll() {
+            for (std::thread& t : threads) t.join();
+          }
+        } join_all{running};
+        for (const auto& inst : fleet) {
+          if (!inst->Alive() ||
+              (inst->loop->AllServed() && inst->inbox.empty())) {
+            continue;
+          }
+          running.emplace_back(step_wall, std::ref(*inst), window_end);
+        }
+      }
+      for (const auto& inst : fleet) inst->inbox.clear();
+    } else if (pool != nullptr) {
       pool->ParallelForEach(0, n_now, 1, [&](int64_t i) {
         step_until(*fleet[i], window_end);
       });
@@ -583,7 +761,21 @@ StatusOr<FleetResult> FleetController::Run(
       done = done && inst->loop->AllServed();
     }
     if (done) break;
+    // Until the whole trace is routed, the next tick waits for its instant.
+    while (wall && next_route < trace.size() &&
+           clock->Now() * speedup < window_end) {
+      APT_RETURN_NOT_OK(valve());
+      NapToward(*clock, window_end / speedup);
+    }
     window_start = window_end;
+    // A barrier that ends late skips the ticks the wall clock has passed:
+    // the next tick runs once, at the latest instant due, like a late timer.
+    if (wall) {
+      const double due = clock->Now() * speedup;
+      while (window_start + config_.tick_interval_s <= due) {
+        window_start += config_.tick_interval_s;
+      }
+    }
     if (fm.ticks > 100'000'000) {
       return Status::Internal("fleet controller exceeded the tick guard");
     }
@@ -597,8 +789,12 @@ StatusOr<FleetResult> FleetController::Run(
     fleet_end = std::max(fleet_end, inst->loop->now());
     loops.push_back(inst->loop.get());
   }
-  APT_ASSIGN_OR_RETURN(out.serve, fleet_internal::AssembleResult(
-                                      loops, routing, config_.metrics));
+  if (wall) out.wall_duration_s = clock->Now();
+  WallClockMetrics wall_metrics;
+  APT_ASSIGN_OR_RETURN(out.serve, AssembleResult(loops, routing,
+                                                 config_.metrics,
+                                                 &wall_metrics));
+  if (wall) out.wall = wall_metrics.Report();
   fm.instance_cell = instance_cell;
   const int32_t total_instances = static_cast<int32_t>(fleet.size());
   for (const auto& inst : fleet) {

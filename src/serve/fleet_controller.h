@@ -7,35 +7,37 @@
 // routing is backend-independent, a trace produces the same shards (and
 // the same prefix-hit accounting) on both.
 //
-// Run is event-driven in virtual time. One loop interleaves per-instance
-// serving-loop epochs (ServingLoopState::Step) with controller ticks; each
-// tick evaluates pluggable scaling policies to grow the fleet (cold start
-// with a configurable warmup latency) or drain-and-remove instances, and a
-// migration planner that moves queued or preempted requests off hot or
-// draining instances *with their hybrid KV/hidden cache state*
-// (ServingLoopState::Extract/Receive over the backends'
-// ExportRequest/ImportRequest — shared prefix blocks re-resolve through the
-// destination's PrefixIndex so they dedupe instead of copying, and the
-// interconnect transfer is priced by CostModel::MigrationSeconds).
+// One fleet loop serves both clocks. Run advances in virtual time; RunAsync
+// (serve/async_serving.h) runs the same loop on a monotonic wall clock
+// scaled by the replay speedup. The loop cuts the trace into windows: a
+// static fleet (no scaling rules, no migration) is one infinite window, an
+// elastic fleet gets one window per tick_interval_s of trace time. At each
+// window barrier the controller ticks: it evaluates pluggable scaling
+// policies to grow the fleet (cold start with a configurable warmup
+// latency) or drain-and-remove instances, and runs a migration planner
+// that moves queued or preempted requests off hot or draining instances
+// *with their hybrid KV/hidden cache state* (ServingLoopState::Extract/
+// Receive over the backends' ExportRequest/ImportRequest — shared prefix
+// blocks re-resolve through the destination's PrefixIndex so they dedupe
+// instead of copying, and the interconnect transfer is priced by
+// CostModel::MigrationSeconds). Then it routes the window's arrivals
+// against the live instance set, which is constant within the window.
 //
-// Requests are routed live, at arrival, against the currently-live
-// instance set; scale events only happen at tick boundaries, so routing
-// within a tick window sees a constant fleet.
+// Between barriers each instance steps its own ServingLoopState. In
+// virtual time an instance steps until its clock reaches the window end,
+// on the fleet thread pool when the runtime allows. On the wall clock each
+// instance steps on its own thread, injecting routed requests at their
+// release instants, until the wall clock reaches the window end or (once
+// the whole trace is routed) the instance drains.
 //
-// Determinism: ticks, routing, scaling, and migration all run serially at
-// window barriers; instances only execute their own independent epochs
-// between barriers (in parallel on the fleet thread pool when the runtime
-// allows). Schedulers and backends are built serially in instance order
-// (factories may share state) and results merge in instance order, so
-// every decision and the merged report are bit-identical at any thread
-// count.
-//
-// The static fleet is the degenerate case: no scaling rules, no migration.
-// It runs as a single infinite window — route everything, run every
-// instance to completion — pinned by the router parity and serving-loop
-// parity suites. RunAsync serves the same static fleet on the wall clock
-// (serve/async_serving.h) with Run's instance set-up, arrival routing and
-// result assembly (serve/fleet_internal.h).
+// Determinism (virtual time): ticks, routing, scaling, and migration all
+// run serially at window barriers; instances only execute their own
+// independent epochs between barriers. Schedulers and backends are built
+// serially in instance order (factories may share state) and results merge
+// in instance order, so every decision and the merged report are
+// bit-identical at any thread count. The static fleet's single window —
+// route everything, run every instance to completion — is pinned by the
+// router parity and serving-loop parity suites.
 #pragma once
 
 #include <functional>
@@ -143,15 +145,17 @@ struct FleetConfig {
   /// (router.n_instances).
   RouterConfig router;
   ServingLoopConfig loop;
-  /// Fleet runtime: instances step concurrently on up to this many threads
-  /// between controller barriers (bit-identical to serial).
+  /// Fleet runtime: in virtual time, instances step concurrently on up to
+  /// this many threads between controller barriers (bit-identical to
+  /// serial). Wall-clock runs step every instance on its own thread.
   RuntimeConfig runtime;
 
   // ---- Elasticity ----------------------------------------------------------
   int32_t min_instances = 1;
   /// Scale-up ceiling; 0 means router.n_instances (no headroom).
   int32_t max_instances = 0;
-  /// Controller tick (virtual seconds) between policy evaluations.
+  /// Controller tick (trace seconds) between policy evaluations: the
+  /// window length of an elastic fleet in both clocks.
   double tick_interval_s = 1.0;
   /// Cold-start latency: a spawned instance starts serving this much
   /// virtual time after its spawn tick.
@@ -210,7 +214,7 @@ struct FleetResult {
   FleetMetrics fleet;
 };
 
-// Async wall-clock serving mode (serve/async_serving.h).
+// Wall-clock serving (serve/async_serving.h).
 struct AsyncServingConfig;
 struct AsyncServingResult;
 
@@ -234,14 +238,12 @@ class FleetController {
                             const BackendFactory& make_backend,
                             const SloSpec& slo);
 
-  /// Serves `trace` in the async wall-clock mode: a static fleet of
-  /// router().config().n_instances continuously-batching worker threads
-  /// with real-time arrival replay — see serve/async_serving.h for the
-  /// architecture and determinism contract. Token streams are
-  /// bit-identical to Run() on a static fleet, cells included; only timing
-  /// differs. Rejects elastic configs (scaling rules / planner migration):
-  /// the async mode's only live motion is queue-depth shedding for now.
-  /// Defined in async_serving.cc.
+  /// Serves `trace` with Run's fleet loop on the wall clock, replayed at
+  /// `async.replay_speedup` — see serve/async_serving.h for the stepping
+  /// and the determinism contract. Token streams are bit-identical to
+  /// Run() (on an elastic fleet, given instances that share weights and a
+  /// trace that carries its token ids); only timing differs. InvalidArgument unless replay_speedup and
+  /// max_wall_seconds are finite and positive.
   StatusOr<AsyncServingResult> RunAsync(const std::vector<Request>& trace,
                                         const SchedulerFactory& make_scheduler,
                                         const BackendFactory& make_backend,
@@ -252,6 +254,14 @@ class FleetController {
   const FleetConfig& config() const { return config_; }
 
  private:
+  /// The fleet loop behind Run (`async` null: virtual time) and RunAsync
+  /// (wall clock); the wall fields of the result stay empty in virtual time.
+  StatusOr<AsyncServingResult> Serve(const std::vector<Request>& trace,
+                                     const SchedulerFactory& make_scheduler,
+                                     const BackendFactory& make_backend,
+                                     const SloSpec& slo,
+                                     const AsyncServingConfig* async);
+
   FleetConfig config_;
   Router router_;
 };

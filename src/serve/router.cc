@@ -140,9 +140,9 @@ struct RouterState::Impl {
   /// Deterministic decision-cost counters (state examinations, not time).
   RouteCostStats cost;
   /// Observability (Router::AttachTrace): events land on the router track,
-  /// stamped by `obs_clock` when set (async mode) else by request arrival.
+  /// stamped at each request's arrival / `obs_speedup`.
   obs::TraceSink sink;
-  const runtime::Clock* obs_clock = nullptr;
+  double obs_speedup = 1.0;
 };
 
 RouterState::RouterState() = default;
@@ -217,10 +217,11 @@ RouterState Router::MakeState(int32_t max_instances) const {
 }
 
 void Router::AttachTrace(RouterState* state, obs::TraceSink sink,
-                         const runtime::Clock* clock) const {
+                         double replay_speedup) const {
   APT_CHECK(state != nullptr && state->impl_ != nullptr);
+  APT_CHECK(replay_speedup > 0.0);
   state->impl_->sink = sink;
-  state->impl_->obs_clock = clock;
+  state->impl_->obs_speedup = replay_speedup;
 }
 
 void Router::GrowState(RouterState* state, int32_t n_instances) const {
@@ -272,8 +273,7 @@ int32_t Router::RouteOneLive(const Request& req, size_t trace_index,
   // Observational only: reads the pre-commit routing state, mutates none
   // of it, so traced and untraced routing are decision-identical.
   const bool tracing = static_cast<bool>(s.sink);
-  const double obs_ts =
-      s.obs_clock != nullptr ? s.obs_clock->Now() : req.arrival;
+  const double obs_ts = req.arrival / s.obs_speedup;
   const auto emit_route_decision = [&](int32_t chosen) {
     double score = 0.0;
     switch (config_.policy) {

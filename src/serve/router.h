@@ -39,7 +39,6 @@
 
 #include "core/length_predictor.h"
 #include "obs/trace_recorder.h"
-#include "runtime/clock.h"
 #include "sim/cost_model.h"
 #include "sim/metrics.h"
 #include "workload/request.h"
@@ -228,12 +227,12 @@ class Router {
 
   /// Attaches a trace sink to `state`: subsequent RouteOne calls emit
   /// route-decision and admission-verdict events on the router track.
-  /// Purely observational (no routing state is touched). `clock`
-  /// (optional, borrowed) stamps events in wall time — the async feeder
-  /// passes its replay clock; null stamps them with each request's arrival
-  /// time, the virtual frame the router already routes in.
+  /// Purely observational (no routing state is touched). Events are
+  /// stamped at each request's arrival / `replay_speedup`: the virtual
+  /// arrival by default, its wall release instant when a wall-clock run
+  /// replays the trace faster than real time.
   void AttachTrace(RouterState* state, obs::TraceSink sink,
-                   const runtime::Clock* clock = nullptr) const;
+                   double replay_speedup = 1.0) const;
 
   /// Estimated seconds to serve `r` alone: prefill plus predicted decode.
   /// Exposed for tests of the admission math.

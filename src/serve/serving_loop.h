@@ -80,7 +80,7 @@ struct ServingLoopResult {
   int64_t prefill_tokens_skipped = 0;
   /// Prefix-sharing hit accounting (all zeros without an index).
   PrefixStats prefix;
-  /// Wall-clock timestamps (async serving mode; empty without an attached
+  /// Wall-clock timestamps (wall-clock serving; empty without an attached
   /// wall clock). The fleet layer Merge()s per-instance collectors and
   /// reports once.
   WallClockMetrics wall_metrics;
@@ -107,7 +107,8 @@ struct MigratedRequest {
   RequestRecord record;
   bool has_last_token = false;
   TimePoint last_token = 0.0;
-  /// Wall-clock stamps (async mode only), so real TTFT/TBT survive the hop.
+  /// Wall-clock stamps (wall-clock serving only), so real TTFT/TBT survive
+  /// the hop.
   bool has_wall_record = false;
   WallRequestRecord wall_record;
   /// Trace linkage (zero when the source had no trace sink): the flow id of
@@ -172,27 +173,23 @@ class ServingLoopState {
   /// unusable afterwards.
   StatusOr<ServingLoopResult> Finish();
 
-  // ---- Wall-clock seam (async serving mode) --------------------------------
+  // ---- Wall-clock seam (FleetController::RunAsync) -------------------------
 
   /// Attaches a real-time clock: from now on every emitted token and finish
-  /// is additionally wall-stamped into the result's WallClockMetrics, and
-  /// finishes are logged for TakeRecentFinishes. Purely observational — the
-  /// virtual timeline, scheduling, and token streams are unaffected, which
-  /// is exactly the async mode's determinism contract. Call before Step.
+  /// is additionally wall-stamped into the result's WallClockMetrics.
+  /// Purely observational — the virtual timeline, scheduling, and token
+  /// streams are unaffected, which is exactly the wall-clock mode's
+  /// determinism contract. Call before Step.
   void AttachWallClock(const runtime::Clock* clock);
 
   /// Advances the virtual clock to (at least) `wall_now`, so injected
   /// requests whose availability was stamped in wall time become admissible
-  /// as real time passes. Monotone; no-op when behind now(). The async
-  /// worker calls this before each Step, fusing the two timelines.
+  /// as real time passes. Monotone; no-op when behind now(). The fleet's
+  /// wall-clock instance threads call this before each Step, fusing the two
+  /// timelines.
   void SyncClock(double wall_now) {
     if (wall_now > now_) now_ = wall_now;
   }
-
-  /// Drains the (id, virtual finish time) log of requests finished since
-  /// the last call. Empty unless a wall clock is attached — the async
-  /// worker's completion feed back to the controller.
-  std::vector<std::pair<RequestId, double>> TakeRecentFinishes();
 
   // ---- Observability seam (src/obs/) ---------------------------------------
 
@@ -200,15 +197,11 @@ class ServingLoopState {
   /// registry; either may be empty/null. Purely observational, same
   /// contract as AttachWallClock: scheduling, the virtual timeline, and
   /// token streams are bit-identical with or without it. Events are
-  /// stamped in wall time when a wall clock is attached (attach it first
-  /// in async mode) and in virtual seconds otherwise. Call before Step.
+  /// stamped in wall time when a wall clock is attached and in virtual
+  /// seconds otherwise. Call before Step.
   void AttachObservability(obs::TraceSink sink,
                            obs::MetricsRegistry* metrics = nullptr,
                            int32_t instance_id = 0);
-
-  /// The attached sink (empty when tracing is off). The async worker
-  /// borrows it to emit shed events on this instance's track.
-  const obs::TraceSink& trace_sink() const { return trace_; }
 
   // ---- Introspection (fleet controller policies / planner) -----------------
   bool started() const { return started_; }
@@ -254,10 +247,9 @@ class ServingLoopState {
   SloSpec slo_;
   MetricsCollector metrics_;
   ServingLoopResult result_;
-  /// Real-time observer (async mode); null in the deterministic modes.
+  /// Real-time observer (wall-clock serving); null in virtual time.
   const runtime::Clock* wall_clock_ = nullptr;
   WallClockMetrics wall_metrics_;
-  std::vector<std::pair<RequestId, double>> recent_finishes_;
 
   /// Observability (all optional; see AttachObservability). Metric handles
   /// are resolved once at attach so the hot path is pointer-null checks

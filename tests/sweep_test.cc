@@ -268,18 +268,6 @@ TEST_F(SweepTest, DryRunExecutesNothingAndTouchesNoDisk) {
   EXPECT_FALSE(PathExists(run->exp_dir + "/runs"));
 }
 
-TEST(SweepSchedulerTest, MakeSchedulerByNameCoversBenchNamesAndFailsClosed) {
-  const SloSpec slo{1.0, 1.0};
-  for (const char* kind : {"vLLM", "Random", "Sarathi", "FastGen",
-                           "FCFS-hybrid", "Apt", "Apt*", "Apt-KVonly",
-                           "Apt-S"}) {
-    auto sched = MakeSchedulerByName(kind, slo);
-    ASSERT_TRUE(sched.ok()) << kind;
-    EXPECT_NE(sched->get(), nullptr) << kind;
-  }
-  EXPECT_FALSE(MakeSchedulerByName("Apt-Typo", slo).ok());
-}
-
 TEST(SweepConfigTest, CommittedExampleConfigsParseAndExpand) {
   const std::string root = APTSERVE_SOURCE_DIR;
   for (const char* name : {"smoke", "paper_table"}) {
